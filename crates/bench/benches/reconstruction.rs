@@ -10,7 +10,8 @@ use ct_core::project::{scan, NoiseModel, Scan};
 use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
-use mbir::sequential::{IcdConfig, SequentialIcd};
+use mbir::sequential::{golden_image, IcdConfig, SequentialIcd};
+use mbir_simd::SimdBackend;
 use psv_icd::{PsvConfig, PsvIcd};
 use std::hint::black_box;
 
@@ -56,6 +57,26 @@ fn bench_reconstruction(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+
+    // The 40-equit golden behind every RMSE stop: the scalar backend
+    // runs the per-view walk, lanes the flat-index gather walk (same
+    // bits; tests/determinism_simd.rs).
+    for simd in [SimdBackend::Scalar, SimdBackend::Lanes] {
+        group.bench_function(&format!("golden_image_64_{simd}"), |b| {
+            mbir_simd::set_backend(simd);
+            b.iter(|| {
+                black_box(golden_image(
+                    &su.a,
+                    &su.s.y,
+                    &su.s.weights,
+                    &prior,
+                    su.init.clone(),
+                    40.0,
+                ))
+            });
+            mbir_simd::set_backend(SimdBackend::Auto);
+        });
+    }
 
     group.bench_function("psv_icd_iteration_64", |b| {
         b.iter_batched(

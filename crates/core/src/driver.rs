@@ -20,7 +20,6 @@ use crate::fleet::FleetState;
 use crate::model::{BatchTiming, GpuWorkModel, ProfileSkeleton};
 use crate::opts::{GpuOptions, Layout};
 use crate::tally::{BatchTally, SvTally};
-use ct_core::hu::rmse_hu;
 use ct_core::image::{Image, SharedImage};
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::{ColumnView, SystemMatrix};
@@ -1104,7 +1103,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         trace.record(self.equits(), self.modeled_seconds, &self.image, golden);
         self.emit_convergence(&trace);
         for _ in 0..max_iters {
-            if rmse_hu(&self.image, golden) < threshold_hu {
+            if trace.last().expect("point just recorded").rmse_hu < threshold_hu {
                 break;
             }
             self.iteration();

@@ -324,6 +324,14 @@ impl SystemMatrix {
         }
     }
 
+    /// Position of voxel `j`'s entries in the matrix-wide entry stream
+    /// (every column's [`ColumnView::values_flat`], voxel-major), for
+    /// side tables co-indexed with that stream.
+    #[inline]
+    pub fn entry_range(&self, j: usize) -> std::ops::Range<usize> {
+        self.voxel_offset[j] as usize..self.voxel_offset[j + 1] as usize
+    }
+
     /// Total number of stored entries.
     pub fn nnz(&self) -> usize {
         self.values.len()

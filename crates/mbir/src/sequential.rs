@@ -6,13 +6,20 @@
 //! paper Section 2) with optional zero-skipping. Work is accounted in
 //! *equits*: one equit is `N` voxel updates where `N` is the image's
 //! voxel count.
+//!
+//! Under the lane backend ([`mbir_simd::SimdBackend::Lanes`], the
+//! default) a pass walks each column through a flat index into the
+//! error sinogram ([`FlatWalk`]) instead of the per-view runs of
+//! [`update_voxel`]; the scalar backend keeps the per-view walk as the
+//! reference. Both produce the same bits (see [`FlatWalk`]).
 
 use crate::prior::Prior;
-use crate::update::{update_voxel, zero_skippable, SinogramPair};
+use crate::update::{solve_and_commit, update_voxel, zero_skippable, SinogramPair, Thetas};
 use ct_core::hu::rmse_hu;
 use ct_core::image::Image;
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
+use mbir_simd::{SimdBackend, ThetaAcc};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -55,6 +62,78 @@ impl IcdStats {
     }
 }
 
+/// Tables for the flat-index lane walk of [`SequentialIcd::pass`],
+/// built once per driver: `w` and `A` are fixed for its lifetime.
+///
+/// A visit computes `theta1` with [`mbir_simd::theta_gather_lanes`]
+/// over `(A column, idx slice)` and scatters `e -= A * delta` with
+/// [`mbir_simd::sub_scaled_gather`]. Every element is the expression of
+/// the per-view walk (`(w * a) * e`, `(w * a) * a`) in the same
+/// canonical lane `k % 8`, reduced by the same tree, so `theta1`,
+/// `theta2`, and hence every step, image, and error bit are unchanged;
+/// the indices of one column are distinct, so scatter order is free.
+///
+/// Memory: 4 B per matrix entry for `idx` plus 4 B per voxel, held only
+/// as long as the driver (the golden's driver is dropped before any
+/// later driver is built).
+struct FlatWalk {
+    /// Per matrix entry, in the matrix's voxel-major entry order (see
+    /// [`SystemMatrix::entry_range`]): the flat `Sinogram::data` index
+    /// `view * num_channels + channel` the entry touches.
+    idx: Vec<u32>,
+    /// Per voxel: `theta2 = sum (w * a) * a` in canonical lane order.
+    theta2: Vec<f32>,
+}
+
+impl FlatWalk {
+    /// Build both tables, filling fixed voxel ranges on the process's
+    /// worker threads ([`mbir_parallel::threads`]); every entry depends
+    /// on its own voxel only, so the tables are thread-count invariant.
+    fn build(a: &SystemMatrix, weights: &Sinogram) -> FlatWalk {
+        assert!(
+            u32::try_from(weights.data().len()).is_ok(),
+            "sinogram too large for a u32 flat index"
+        );
+        let nvox = a.geometry().grid.num_voxels();
+        let mut idx = vec![0u32; a.nnz()];
+        let mut theta2 = vec![0.0f32; nvox];
+        let chunk = nvox.div_ceil(mbir_parallel::threads()).max(1);
+        std::thread::scope(|s| {
+            let mut idx_rest = idx.as_mut_slice();
+            let mut theta2_rest = theta2.as_mut_slice();
+            for lo in (0..nvox).step_by(chunk) {
+                let hi = (lo + chunk).min(nvox);
+                let len = a.entry_range(hi - 1).end - a.entry_range(lo).start;
+                let (idx_part, rest) = std::mem::take(&mut idx_rest).split_at_mut(len);
+                idx_rest = rest;
+                let (theta2_part, rest) = std::mem::take(&mut theta2_rest).split_at_mut(hi - lo);
+                theta2_rest = rest;
+                s.spawn(move || Self::fill(a, weights, lo, idx_part, theta2_part));
+            }
+        });
+        FlatWalk { idx, theta2 }
+    }
+
+    /// Fill the tables of voxels `lo..lo + theta2.len()`.
+    fn fill(a: &SystemMatrix, weights: &Sinogram, lo: usize, idx: &mut [u32], theta2: &mut [f32]) {
+        let (nch, w) = (weights.num_channels(), weights.data());
+        let base = a.entry_range(lo).start;
+        for (j, t2) in (lo..).zip(theta2) {
+            let mut acc = ThetaAcc::new();
+            let mut k = a.entry_range(j).start - base;
+            for seg in a.column(j).segments() {
+                let q0 = seg.view * nch + seg.first_channel;
+                for (c, (&av, &wv)) in seg.values.iter().zip(&w[q0..]).enumerate() {
+                    idx[k + c] = (q0 + c) as u32;
+                    acc.push(av, 0.0, wv);
+                }
+                k += seg.values.len();
+            }
+            *t2 = acc.finish().1;
+        }
+    }
+}
+
 /// The sequential ICD reconstruction state.
 pub struct SequentialIcd<'a, P: Prior> {
     a: &'a SystemMatrix,
@@ -65,11 +144,15 @@ pub struct SequentialIcd<'a, P: Prior> {
     error: Sinogram,
     stats: IcdStats,
     pass_count: u64,
+    /// Present iff the process-wide backend resolved to `Lanes` at
+    /// construction; `None` runs the scalar per-view walk.
+    flat: Option<FlatWalk>,
 }
 
 impl<'a, P: Prior> SequentialIcd<'a, P> {
     /// Initialize from a measurement `y` and starting image `init`
-    /// (often zeros or an FBP image); computes `e = y - A init`.
+    /// (often zeros or an FBP image); computes `e = y - A init`. The
+    /// lane-kernel backend is resolved here, once ([`mbir_simd::active`]).
     pub fn new(
         a: &'a SystemMatrix,
         y: &Sinogram,
@@ -83,6 +166,7 @@ impl<'a, P: Prior> SequentialIcd<'a, P> {
         for (e, axv) in error.data_mut().iter_mut().zip(ax.data()) {
             *e -= axv;
         }
+        let flat = (mbir_simd::active() == SimdBackend::Lanes).then(|| FlatWalk::build(a, weights));
         SequentialIcd {
             a,
             prior,
@@ -92,6 +176,16 @@ impl<'a, P: Prior> SequentialIcd<'a, P> {
             error,
             stats: IcdStats::default(),
             pass_count: 0,
+            flat,
+        }
+    }
+
+    /// The lane-kernel backend this driver resolved at construction.
+    pub fn simd(&self) -> SimdBackend {
+        if self.flat.is_some() {
+            SimdBackend::Lanes
+        } else {
+            SimdBackend::Scalar
         }
     }
 
@@ -118,15 +212,39 @@ impl<'a, P: Prior> SequentialIcd<'a, P> {
                 continue;
             }
             let col = self.a.column(j);
-            let mut pair = SinogramPair { e: &mut self.error, w: self.weights };
-            let delta = update_voxel(
-                j,
-                &mut self.image,
-                &col,
-                &mut pair,
-                self.prior,
-                self.config.positivity,
-            );
+            let delta = match &self.flat {
+                Some(flat) => {
+                    let a = col.values_flat();
+                    let idx = &flat.idx[self.a.entry_range(j)];
+                    let e = self.error.data_mut();
+                    let th = Thetas {
+                        theta1: mbir_simd::theta_gather_lanes(a, idx, e, self.weights.data()),
+                        theta2: flat.theta2[j],
+                    };
+                    let delta = solve_and_commit(
+                        j,
+                        &mut self.image,
+                        th,
+                        self.prior,
+                        self.config.positivity,
+                    );
+                    if delta != 0.0 {
+                        mbir_simd::sub_scaled_gather(e, a, idx, delta);
+                    }
+                    delta
+                }
+                None => {
+                    let mut pair = SinogramPair { e: &mut self.error, w: self.weights };
+                    update_voxel(
+                        j,
+                        &mut self.image,
+                        &col,
+                        &mut pair,
+                        self.prior,
+                        self.config.positivity,
+                    )
+                }
+            };
             pass_stats.updates += 1;
             pass_stats.total_abs_delta += delta.abs() as f64;
         }

@@ -119,8 +119,25 @@ pub fn update_voxel<E: WeightedError, P: Prior>(
     prior: &P,
     positivity: bool,
 ) -> f32 {
-    let v = image.get(j);
     let th = compute_thetas(col, ew);
+    let delta = solve_and_commit(j, image, th, prior, positivity);
+    if delta != 0.0 {
+        apply_delta(col, ew, delta);
+    }
+    delta
+}
+
+/// Solve voxel `j`'s 1-D prior subproblem from its data-term thetas and
+/// write the step into the image (steps 7-8 of Algorithm 1); the caller
+/// scatters the returned `delta` into the error sinogram when nonzero.
+pub(crate) fn solve_and_commit<P: Prior>(
+    j: usize,
+    image: &mut Image,
+    th: Thetas,
+    prior: &P,
+    positivity: bool,
+) -> f32 {
+    let v = image.get(j);
     let nb = image.neighbors8(j);
     let mut neigh = nb.iter().map(|(k, edge)| (image.get(k), clique_weight(edge)));
     let mut delta = prior.step(v, th.theta1, th.theta2, &mut neigh);
@@ -130,7 +147,6 @@ pub fn update_voxel<E: WeightedError, P: Prior>(
     }
     if delta != 0.0 {
         image.set(j, v + delta);
-        apply_delta(col, ew, delta);
     }
     delta
 }

@@ -2,7 +2,6 @@
 
 use crate::atomic_image::AtomicImage;
 use crate::cpu_model::{CpuModel, SvWork};
-use ct_core::hu::rmse_hu;
 use ct_core::image::{Image, Neighbors8};
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::{ColumnView, SystemMatrix};
@@ -408,16 +407,14 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         max_iters: usize,
     ) -> ConvergenceTrace {
         let mut trace = ConvergenceTrace::default();
-        let img = self.image.to_image();
-        trace.record(self.equits(), self.modeled_seconds, &img, golden);
+        trace.record(self.equits(), self.modeled_seconds, &self.image.to_image(), golden);
         self.emit_convergence(&trace);
         for _ in 0..max_iters {
-            if rmse_hu(&self.image.to_image(), golden) < threshold_hu {
+            if trace.last().expect("point just recorded").rmse_hu < threshold_hu {
                 break;
             }
             self.iteration();
-            let img = self.image.to_image();
-            trace.record(self.equits(), self.modeled_seconds, &img, golden);
+            trace.record(self.equits(), self.modeled_seconds, &self.image.to_image(), golden);
             self.emit_convergence(&trace);
         }
         trace

@@ -357,6 +357,58 @@ pub fn theta_tables(backend: SimdBackend, wa: &[f32], waa: &[f32], e: &[f32]) ->
     }
 }
 
+/// `theta1` over a column whose error and weight entries are addressed
+/// through a flat index: element `k` reads `e[idx[k]]` and `w[idx[k]]`.
+/// Scalar reference order — lane `k % 8` accumulates
+/// `-(w[q] * a[k]) * e[q]` with `q = idx[k]`, exactly the `theta1` half
+/// of [`ThetaAcc::push`] on the gathered stream, so this equals
+/// [`theta_flat_ref`]`(a, e[idx], w[idx]).0` bitwise.
+pub fn theta_gather_ref(a: &[f32], idx: &[u32], e: &[f32], w: &[f32]) -> f32 {
+    check_len(a.len(), idx.len());
+    check_len(e.len(), w.len());
+    let mut t1 = [0.0f32; LANES];
+    for k in 0..a.len() {
+        let q = idx[k] as usize;
+        t1[k % LANES] -= w[q] * a[k] * e[q];
+    }
+    tree_reduce(t1)
+}
+
+/// Gathered `theta1`, chunked 8-wide with a fixed trip count per chunk;
+/// bitwise-equal to [`theta_gather_ref`] (lane `l` of a full chunk holds
+/// flat position `8*c + l`; the tail keeps lane `i % 8`).
+pub fn theta_gather_lanes(a: &[f32], idx: &[u32], e: &[f32], w: &[f32]) -> f32 {
+    check_len(a.len(), idx.len());
+    check_len(e.len(), w.len());
+    let full = a.len() - a.len() % LANES;
+    let (ah, at) = a.split_at(full);
+    let (ih, it) = idx.split_at(full);
+    let mut t1 = [0.0f32; LANES];
+    for (ca, ci) in ah.chunks_exact(LANES).zip(ih.chunks_exact(LANES)) {
+        for l in 0..LANES {
+            let q = ci[l] as usize;
+            t1[l] -= w[q] * ca[l] * e[q];
+        }
+    }
+    for (i, (&av, &q)) in at.iter().zip(it).enumerate() {
+        let q = q as usize;
+        t1[i] -= w[q] * av * e[q];
+    }
+    tree_reduce(t1)
+}
+
+/// `e[idx[k]] -= a[k] * delta` — the error update after a voxel commit,
+/// scattered through a flat index. Element-wise with no reduction, so
+/// one implementation serves every backend; the indices of one column
+/// are distinct, so the scatter order cannot change any bit.
+#[inline]
+pub fn sub_scaled_gather(e: &mut [f32], a: &[f32], idx: &[u32], delta: f32) {
+    check_len(a.len(), idx.len());
+    for (&av, &q) in a.iter().zip(idx) {
+        e[q as usize] -= av * delta;
+    }
+}
+
 /// `e[k] -= a[k] * delta` — the error update after a voxel commit.
 /// Element-wise with no reduction, so one implementation serves every
 /// backend (same ops, same order; the compiler may vectorize freely).
@@ -573,6 +625,34 @@ mod tests {
             (a, b, c)
         }
 
+        /// `n` distinct indices into `0..space` (`space >= n`), in a
+        /// seeded random order (partial Fisher-Yates, xorshift64*).
+        fn distinct_indices(n: usize, space: usize, seed: u64) -> Vec<u32> {
+            let mut pool: Vec<u32> = (0..space as u32).collect();
+            let mut s = seed | 1;
+            for i in 0..n {
+                s ^= s >> 12;
+                s ^= s << 25;
+                s ^= s >> 27;
+                let r = s.wrapping_mul(0x2545_f491_4f6c_dd1d);
+                pool.swap(i, i + (r % (space - i) as u64) as usize);
+            }
+            pool.truncate(n);
+            pool
+        }
+
+        /// Scatter a gathered `(e, w)` stream into full-size arrays of
+        /// `space` entries at `idx`; the untouched entries hold filler.
+        fn scatter_ew(e: &[f32], w: &[f32], idx: &[u32], space: usize) -> (Vec<f32>, Vec<f32>) {
+            let mut es: Vec<f32> = (0..space).map(|q| q as f32 * 0.7 - 9.0).collect();
+            let mut ws: Vec<f32> = (0..space).map(|q| 1.0 + q as f32 * 0.3).collect();
+            for (k, &q) in idx.iter().enumerate() {
+                es[q as usize] = e[k];
+                ws[q as usize] = w[k];
+            }
+            (es, ws)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -640,6 +720,47 @@ mod tests {
                 let tl = theta_tables_lanes(&wa, &waa, &e);
                 prop_assert_eq!(r.0.to_bits(), tl.0.to_bits());
                 prop_assert_eq!(r.1.to_bits(), tl.1.to_bits());
+            }
+
+            #[test]
+            fn theta_gather_bitwise_equals_flat_ref(
+                t in triple(67),
+                extra in 0usize..40,
+                seed in 0u64..1_000_000,
+            ) {
+                // The gathered walk reads (e, w) through distinct random
+                // indices; on the gathered stream it must reproduce the
+                // canonical flat walk bit for bit, at every n % 8.
+                let (a, e, w) = unzip3(t);
+                let space = a.len() + extra;
+                let idx = distinct_indices(a.len(), space, seed);
+                let (es, ws) = scatter_ew(&e, &w, &idx, space);
+                let flat = theta_flat_ref(&a, &e, &w).0;
+                let r = theta_gather_ref(&a, &idx, &es, &ws);
+                let l = theta_gather_lanes(&a, &idx, &es, &ws);
+                prop_assert_eq!(r.to_bits(), l.to_bits());
+                prop_assert_eq!(flat.to_bits(), r.to_bits());
+            }
+
+            #[test]
+            fn sub_scaled_gather_matches_per_element_walk(
+                t in triple(67),
+                extra in 0usize..40,
+                seed in 0u64..1_000_000,
+                delta in -2.0f32..2.0,
+            ) {
+                let (a, e, _w) = unzip3(t);
+                let space = a.len() + extra;
+                let idx = distinct_indices(a.len(), space, seed);
+                let (mut e1, _) = scatter_ew(&e, &e, &idx, space);
+                let mut e2 = e1.clone();
+                sub_scaled_gather(&mut e1, &a, &idx, delta);
+                for (k, &q) in idx.iter().enumerate() {
+                    e2[q as usize] -= a[k] * delta;
+                }
+                let b1: Vec<u32> = e1.iter().map(|v| v.to_bits()).collect();
+                let b2: Vec<u32> = e2.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(b1, b2);
             }
 
             #[test]

@@ -14,8 +14,24 @@ use ct_core::project::{scan, NoiseModel, Scan};
 use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuIterationReport, GpuOptions};
 use mbir::prior::QggmrfPrior;
+use mbir::sequential::{golden_image, IcdConfig, IcdStats, SequentialIcd};
 use mbir_simd::SimdBackend;
 use psv_icd::{PsvConfig, PsvIcd};
+use std::sync::Mutex;
+
+/// Serializes the tests that flip the process-wide backend, so one
+/// test's `set_backend` cannot land between another's flip and the
+/// construction it is meant to steer.
+static PROCESS_BACKEND: Mutex<()> = Mutex::new(());
+
+/// Run `f` with the process-wide backend pinned to `simd`.
+fn with_process_backend<T>(simd: SimdBackend, f: impl FnOnce() -> T) -> T {
+    let _guard = PROCESS_BACKEND.lock().unwrap_or_else(|p| p.into_inner());
+    mbir_simd::set_backend(simd);
+    let out = f();
+    mbir_simd::set_backend(SimdBackend::Auto);
+    out
+}
 
 struct Setup {
     a: SystemMatrix,
@@ -125,13 +141,13 @@ fn projection_paths_are_identical_across_simd_backends() {
     let geom = Geometry::tiny_scale();
     let truth = Phantom::shepp_logan().render(geom.grid, 2);
     let run = |simd: SimdBackend| {
-        mbir_simd::set_backend(simd);
-        let a = SystemMatrix::compute(&geom);
-        let y = a.forward(&truth);
-        let b = a.back(&y);
-        let r = fbp::reconstruct(&geom, &y);
-        mbir_simd::set_backend(SimdBackend::Auto);
-        (a, y, b, r)
+        with_process_backend(simd, || {
+            let a = SystemMatrix::compute(&geom);
+            let y = a.forward(&truth);
+            let b = a.back(&y);
+            let r = fbp::reconstruct(&geom, &y);
+            (a, y, b, r)
+        })
     };
     let (a_s, y_s, b_s, r_s) = run(SimdBackend::Scalar);
     let (a_l, y_l, b_l, r_l) = run(SimdBackend::Lanes);
@@ -139,4 +155,40 @@ fn projection_paths_are_identical_across_simd_backends() {
     assert_eq!(y_s, y_l);
     assert_eq!(b_s, b_l);
     assert_eq!(r_s, r_l);
+}
+
+#[test]
+fn sequential_is_bitwise_identical_across_simd_backends() {
+    // Sequential ICD (and so the 40-equit golden behind every RMSE
+    // stop) takes its backend from the process-wide setting: scalar
+    // runs the per-view walk, lanes the flat-index gather walk. Both
+    // must agree on every image bit, every error-sinogram bit, and
+    // every work counter, pass by pass, with zero-skip and positivity
+    // on.
+    let geom = Geometry::test_scale();
+    let a = SystemMatrix::compute(&geom);
+    let truth = Phantom::baggage(1).render(geom.grid, 2);
+    let s = scan(&a, &truth, Some(NoiseModel { i0: 1.0e5 }), 21);
+    let prior = QggmrfPrior::standard(0.002);
+    let init = fbp::reconstruct(&geom, &s.y);
+    let config = IcdConfig { zero_skip: true, positivity: true, ..Default::default() };
+    let run = |simd: SimdBackend| {
+        with_process_backend(simd, || {
+            let golden = golden_image(&a, &s.y, &s.weights, &prior, init.clone(), 40.0);
+            let mut icd = SequentialIcd::new(&a, &s.y, &s.weights, &prior, init.clone(), config);
+            assert_eq!(icd.simd(), simd, "driver did not take the forced backend");
+            let passes: Vec<IcdStats> = (0..5).map(|_| icd.pass()).collect();
+            (golden, passes, icd.stats(), icd.image().clone(), icd.error().clone())
+        })
+    };
+    let (golden_s, passes_s, stats_s, img_s, err_s) = run(SimdBackend::Scalar);
+    let (golden_l, passes_l, stats_l, img_l, err_l) = run(SimdBackend::Lanes);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(bits(golden_s.data()), bits(golden_l.data()), "golden differs across backends");
+    assert_eq!(passes_s, passes_l, "per-pass stats differ across backends");
+    assert_eq!(stats_s, stats_l, "cumulative stats differ across backends");
+    assert_eq!(stats_s.total_abs_delta.to_bits(), stats_l.total_abs_delta.to_bits());
+    assert!(passes_s[1].skipped > 0, "zero-skip never engaged");
+    assert_eq!(bits(img_s.data()), bits(img_l.data()), "image differs across backends");
+    assert_eq!(bits(err_s.data()), bits(err_l.data()), "error differs across backends");
 }
