@@ -30,7 +30,8 @@ use std::path::PathBuf;
 use ct_core::phantom::Phantom;
 use gpu_icd::{AMatrixMode, Checkpoint, GpuIcd, GpuOptions, Layout};
 use mbir_bench::{gpu_options_for, run_gpu, run_psv, run_sequential, Pipeline, Scale};
-use mbir_fleet::FaultSpec;
+use mbir_fleet::{FaultSpec, FleetSpec};
+use mbir_topo::ClusterSpec;
 
 /// Bitwise golden ledger: every `check_*` call records the actual
 /// value under a key; `finish()` either rewrites the golden file
@@ -274,6 +275,59 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
         g.check_f64(&format!("fault.{name}.recovery_seconds"), fr.recovery_seconds);
         g.check_f64(&format!("fault.{name}.lost_seconds"), fr.lost_seconds);
         g.check_f64(&format!("fault.{name}.exchange_seconds"), fr.exchange_seconds);
+    }
+
+    // ---- Device-shape timelines ------------------------------------
+    // One device: the per-kernel ledger.
+    {
+        let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), base);
+        for _ in 0..iters {
+            gpu.iteration();
+        }
+        let rs = gpu.run_stats();
+        for (kernel, agg) in [("create", rs.create), ("mbir", rs.mbir), ("writeback", rs.writeback)]
+        {
+            g.check_f64(&format!("shape.single.{kernel}.seconds"), agg.seconds);
+            g.check_u64(&format!("shape.single.{kernel}.launches"), agg.launches);
+        }
+    }
+    // Flat 4-device fleets on both link presets.
+    for (tag, spec) in
+        [("pcie", FleetSpec::titan_x_pcie(devices)), ("nvlink", FleetSpec::titan_x_nvlink(devices))]
+    {
+        let mut gpu =
+            GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), fleet_opts);
+        gpu.set_fleet_spec(spec).expect("valid fleet spec");
+        for _ in 0..iters {
+            gpu.iteration();
+        }
+        g.check_f64(&format!("shape.flat4_{tag}.seconds"), gpu.modeled_seconds());
+    }
+    // Clusters: the ledger totals and the bytes of every exchange phase.
+    for (tag, cluster) in [
+        ("cluster2x2_slabs2", ClusterSpec::titan_x_cluster(2, 2).with_slabs(2)),
+        ("cluster1x4", ClusterSpec::titan_x_cluster(1, 4)),
+    ] {
+        let opts = GpuOptions { profile: true, ..fleet_opts };
+        let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
+        gpu.set_cluster_spec(cluster).expect("valid cluster spec");
+        for _ in 0..iters {
+            gpu.iteration();
+        }
+        let fr = gpu.fleet_report().expect("cluster run");
+        g.check_f64(&format!("shape.{tag}.seconds"), gpu.modeled_seconds());
+        g.check_f64(&format!("shape.{tag}.wall_seconds"), fr.wall_seconds);
+        g.check_f64(&format!("shape.{tag}.exchange_seconds"), fr.exchange_seconds);
+        g.check_u64(&format!("shape.{tag}.exchange_bytes"), fr.exchange_bytes);
+        g.check_u64(&format!("shape.{tag}.batches"), fr.batches);
+        let report = gpu.recording().expect("profile on").report("conformance");
+        let mut phase_bytes = BTreeMap::<String, u64>::new();
+        for e in &report.exchanges {
+            *phase_bytes.entry(e.phase.clone()).or_default() += e.bytes;
+        }
+        for (phase, bytes) in phase_bytes {
+            g.check_u64(&format!("shape.{tag}.{phase}.bytes"), bytes);
+        }
     }
 
     // ---- Checkpoint round-trip at the midpoint ---------------------
