@@ -101,18 +101,7 @@ fn main() {
         ("nvlink1", FleetSpec::titan_x_nvlink as fn(usize) -> FleetSpec),
     ] {
         for &devices in &device_counts {
-            let out = if devices == 1 {
-                // devices = 1 bypasses the fleet entirely — there is no
-                // interconnect to choose, so both arms share the run.
-                RunOut {
-                    image: baseline.image.clone(),
-                    error: baseline.error.clone(),
-                    seconds: baseline.seconds,
-                    fleet: None,
-                }
-            } else {
-                run(&p, base, devices, Some(make_spec(devices)), iters)
-            };
+            let out = run(&p, base, devices, Some(make_spec(devices)), iters);
             let identical = out.image == baseline.image && out.error == baseline.error;
             assert!(identical, "{devices}-device {name} run diverged — sharding contract broken");
             let (exchange_seconds, exchange_bytes, utils, per_device) = match &out.fleet {

@@ -266,14 +266,17 @@ fn cmd_reconstruct(args: &Args) -> Result<(), MbirError> {
             )));
         }
         devices = n;
-        if matches!(fa, FleetArg::Cluster(_)) {
-            if args.has("faults") {
-                return Err(usage_err("--faults and cluster topologies are mutually exclusive"));
-            }
-            if args.has("checkpoint") {
+        if let FleetArg::Cluster(c) = &fa {
+            if args.has("faults") && (c.nodes > 1 || c.slabs > 1) {
                 return Err(usage_err(
-                    "--checkpoint is not supported on cluster topologies (slab residency \
-                     does not survive a restore)",
+                    "--faults and cluster topologies (more than one node or slab) are \
+                     mutually exclusive",
+                ));
+            }
+            if args.has("checkpoint") && c.slabs > 1 {
+                return Err(usage_err(
+                    "--checkpoint is not supported on cluster topologies with more than one \
+                     slab (slab residency does not survive a restore)",
                 ));
             }
         }

@@ -16,9 +16,9 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::error::MbirError;
-use crate::fleet::FleetState;
+use crate::fleet::{carries_faults, sv_costs, FleetState};
 use crate::model::{BatchTiming, GpuWorkModel, ProfileSkeleton};
-use crate::opts::{GpuOptions, Layout};
+use crate::opts::GpuOptions;
 use crate::tally::{BatchTally, SvTally};
 use ct_core::image::{Image, SharedImage};
 use ct_core::sinogram::Sinogram;
@@ -41,7 +41,7 @@ use supervoxel::chunks::chunk_column;
 use supervoxel::plan::{PlanConfig, SvPlan, SvPlanSet, VoxelPlan};
 use supervoxel::quant::QuantizedColumn;
 use supervoxel::selection::{select_svs, Selection};
-use supervoxel::svb::{Svb, SvbLayout};
+use supervoxel::svb::Svb;
 use supervoxel::tiling::Tiling;
 use supervoxel::LaneTables;
 
@@ -52,19 +52,9 @@ use supervoxel::LaneTables;
 /// to the band shapes alone, so the uncached baseline pays no plan
 /// build cost beyond what the old driver already did at setup.
 pub fn plan_config(opts: &GpuOptions) -> PlanConfig {
-    let layout = match opts.layout {
-        Layout::Naive => SvbLayout::SensorMajor,
-        Layout::Chunked { .. } => SvbLayout::Transposed,
-    };
+    let layout = opts.svb_layout();
     if opts.plan_cache {
-        PlanConfig {
-            chunk_width: match opts.layout {
-                Layout::Chunked { width } => Some(width as usize),
-                Layout::Naive => None,
-            },
-            quant_bits: if opts.amatrix.quantized() { Some(opts.amatrix_bits) } else { None },
-            layout,
-        }
+        PlanConfig { chunk_width: opts.chunk_width(), quant_bits: opts.quant_bits(), layout }
     } else {
         PlanConfig { chunk_width: None, quant_bits: None, layout }
     }
@@ -210,7 +200,7 @@ pub struct GpuIcd<'a, P: Prior> {
     sink: Option<Arc<dyn ProfileSink>>,
     recording: Option<Arc<RecordingSink>>,
     batch_seq: u64,
-    fleet: Option<FleetState>,
+    fleet: FleetState,
 }
 
 impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
@@ -248,12 +238,8 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         // the lane backend (bitwise-neutral; the scalar backend keeps
         // the canonical per-element walk as the honest baseline).
         let lane_tables = if mbir_simd::resolve(opts.simd) == mbir_simd::SimdBackend::Lanes {
-            let quant_bits = if opts.amatrix.quantized() { Some(opts.amatrix_bits) } else { None };
-            let layout = match opts.layout {
-                Layout::Naive => SvbLayout::SensorMajor,
-                Layout::Chunked { .. } => SvbLayout::Transposed,
-            };
-            LaneTables::build_for_plan(a, weights, quant_bits, &plan, layout, opts.threads)
+            let (bits, layout) = (opts.quant_bits(), opts.svb_layout());
+            LaneTables::build_for_plan(a, weights, bits, &plan, layout, opts.threads)
         } else {
             Vec::new()
         };
@@ -268,17 +254,9 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         let recording = opts.profile.then(|| Arc::new(RecordingSink::new()));
         let sink = recording.clone().map(|r| r as Arc<dyn ProfileSink>);
         assert!(opts.devices >= 1, "devices must be at least 1");
-        let fleet = (opts.devices > 1).then(|| {
-            FleetState::new(
-                &model,
-                &skeleton,
-                &plan,
-                &tiling,
-                &opts,
-                a.geometry().num_channels,
-                FleetSpec::titan_x_pcie(opts.devices),
-            )
-        });
+        let costs = sv_costs(&model, &skeleton, &plan, &opts, a.geometry().num_channels);
+        let cluster = ClusterSpec::single_node(FleetSpec::titan_x_pcie(opts.devices));
+        let fleet = FleetState::new(&plan, &tiling, costs, cluster);
         GpuIcd {
             a,
             weights,
@@ -304,42 +282,17 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     }
 
     /// Replace the fleet's machine description (e.g. to price NVLink
-    /// instead of the default PCIe). Must be called before the first
-    /// iteration, with a spec sized for `opts.devices`; a request for
-    /// a single-device run is rejected the same way. An installed
-    /// fault schedule carries over to the new fleet state.
+    /// instead of the default PCIe): a flat fleet is the one-node,
+    /// one-slab cluster [`ClusterSpec::single_node`]. The spec must be
+    /// sized for `opts.devices`; otherwise as [`GpuIcd::set_cluster_spec`].
     pub fn set_fleet_spec(&mut self, spec: FleetSpec) -> Result<(), MbirError> {
-        if self.opts.devices <= 1 {
-            return Err(MbirError::Usage(
-                "fleet spec applies to multi-device runs only (set --devices > 1)".into(),
-            ));
-        }
-        if self.iter != 0 {
-            return Err(MbirError::Usage(
-                "fleet spec must be set before the first iteration".into(),
-            ));
-        }
         if spec.devices != self.opts.devices {
             return Err(MbirError::Usage(format!(
                 "fleet spec sized for {} devices, run uses {}",
                 spec.devices, self.opts.devices
             )));
         }
-        let faults = self.fleet.as_ref().map(|fs| fs.faults.clone());
-        let mut fs = FleetState::new(
-            &self.model,
-            &self.skeleton,
-            &self.plan,
-            &self.tiling,
-            &self.opts,
-            self.a.geometry().num_channels,
-            spec,
-        );
-        if let Some(f) = faults {
-            fs.set_faults(f);
-        }
-        self.fleet = Some(fs);
-        Ok(())
+        self.install_cluster(ClusterSpec::single_node(spec), "fleet spec")
     }
 
     /// Replace the fleet with a multi-node cluster: SVs shard within
@@ -348,20 +301,10 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// exchange, intra-node broadcast), and slab streaming loads and
     /// seam halos are booked on the same timeline. Must be called
     /// before the first iteration, with a cluster whose total device
-    /// count matches `opts.devices`. Mutually exclusive with fault
-    /// schedules and checkpoint restore — both replay flat-fleet
-    /// reshard/resume paths that do not know slab residency.
+    /// count matches `opts.devices`. An installed fault schedule
+    /// carries over, unless the cluster has more than one node or slab
+    /// (see [`GpuIcd::set_fault_spec`]).
     pub fn set_cluster_spec(&mut self, cluster: ClusterSpec) -> Result<(), MbirError> {
-        if self.opts.devices <= 1 {
-            return Err(MbirError::Usage(
-                "cluster spec applies to multi-device runs only (set --devices > 1)".into(),
-            ));
-        }
-        if self.iter != 0 {
-            return Err(MbirError::Usage(
-                "cluster spec must be set before the first iteration".into(),
-            ));
-        }
         if cluster.total_devices() != self.opts.devices {
             return Err(MbirError::Usage(format!(
                 "cluster spec sized for {} devices ({} nodes x {}), run uses {}",
@@ -371,52 +314,58 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 self.opts.devices
             )));
         }
-        if self.fleet.as_ref().is_some_and(|fs| !fs.faults.is_empty()) {
+        self.install_cluster(cluster, "cluster spec")
+    }
+
+    /// Rebuild the fleet state for `cluster`, carrying the per-SV costs
+    /// and an installed fault schedule over.
+    fn install_cluster(&mut self, cluster: ClusterSpec, what: &str) -> Result<(), MbirError> {
+        if self.iter != 0 {
+            return Err(MbirError::Usage(format!("{what} must be set before the first iteration")));
+        }
+        let faults = self.fleet.faults.clone();
+        if !faults.is_empty() && !carries_faults(&cluster) {
             return Err(MbirError::Usage(
                 "fault schedules and cluster topologies are mutually exclusive".into(),
             ));
         }
-        self.fleet = Some(FleetState::new_cluster(
-            &self.model,
-            &self.skeleton,
-            &self.plan,
-            &self.tiling,
-            &self.opts,
-            self.a.geometry().num_channels,
-            cluster,
-        ));
+        let costs = self.fleet.costs.clone();
+        self.fleet = FleetState::new(&self.plan, &self.tiling, costs, cluster);
+        self.fleet.set_faults(faults);
         Ok(())
     }
 
     /// Install a deterministic fault schedule (validated against the
-    /// fleet size). Must be called before the first iteration; the
-    /// schedule bends only the modeled timeline — the reconstruction
-    /// stays bitwise identical to a healthy run.
+    /// fleet size). Must be called before the first iteration, on a
+    /// multi-device run of one node and one slab: resharding after a
+    /// failure knows neither node nor slab groups. The schedule bends
+    /// only the modeled timeline — the reconstruction stays bitwise
+    /// identical to a healthy run.
     pub fn set_fault_spec(&mut self, spec: FaultSpec) -> Result<(), MbirError> {
         if self.iter != 0 {
             return Err(MbirError::Usage(
                 "fault schedule must be set before the first iteration".into(),
             ));
         }
-        let Some(fs) = self.fleet.as_mut() else {
+        if self.opts.devices <= 1 {
             return Err(MbirError::Usage(
                 "fault injection requires a multi-device run (set --devices > 1)".into(),
             ));
-        };
-        if fs.topo.is_some() {
+        }
+        if !carries_faults(self.fleet.topology.spec()) {
             return Err(MbirError::Usage(
                 "fault schedules and cluster topologies are mutually exclusive".into(),
             ));
         }
-        spec.validate(fs.fleet.devices()).map_err(MbirError::Usage)?;
-        fs.set_faults(spec);
+        spec.validate(self.opts.devices).map_err(MbirError::Usage)?;
+        self.fleet.set_faults(spec);
         Ok(())
     }
 
     /// The fleet ledger (per-device utilization, exchange bytes and
     /// seconds), present when `opts.devices > 1`.
     pub fn fleet_report(&self) -> Option<FleetReport> {
-        self.fleet.as_ref().map(|f| f.report())
+        (self.opts.devices > 1).then(|| self.fleet.report())
     }
 
     /// Install an external profiling sink (replacing the internal
@@ -488,10 +437,9 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 }
                 let end = (i + self.opts.svs_per_batch).min(group.len());
                 let batch = &group[i..end];
-                // process_batch accumulates run_stats itself (the fleet
-                // path books several per-device timings per batch) and
-                // returns the batch's wall-clock span on the modeled
-                // timeline — kernels plus, above one device, exchanges.
+                // process_batch books the batch on the fleet ledger
+                // (and its per-device timings in run_stats) and returns
+                // its span on the modeled timeline.
                 report.modeled_seconds += self.process_batch(batch, &mut report);
                 report.batches += 1;
                 report.svs_updated += batch.len();
@@ -549,10 +497,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// rounds, scatter all deltas, and model the three kernels.
     /// Returns the batch's wall seconds on the modeled timeline.
     fn process_batch(&mut self, batch: &[usize], report: &mut GpuIterationReport) -> f64 {
-        let layout = match self.opts.layout {
-            Layout::Naive => SvbLayout::SensorMajor,
-            Layout::Chunked { .. } => SvbLayout::Transposed,
-        };
+        let layout = self.opts.svb_layout();
         let allow_skip = self.opts.zero_skip && self.iter > 1;
         let rounds = self.opts.blocks_per_sv() as usize;
 
@@ -614,79 +559,192 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
             svb.scatter_delta(&origs[bi], &mut self.error);
         }
 
-        let num_channels = self.a.geometry().num_channels;
-        if self.fleet.is_some() {
-            return self.price_fleet_batch(&tally, batch);
-        }
-        if let Some(sink) = self.sink.clone() {
-            // The batch starts where the previous one ended on the
-            // modeled timeline: completed iterations plus the batches
-            // already accumulated into this iteration's report.
-            let start = self.modeled_seconds + report.modeled_seconds;
-            let t = self.model.batch_profiled(
-                &self.skeleton,
-                &tally,
-                num_channels,
-                sink.as_ref(),
-                0,
-                self.iter,
-                self.batch_seq,
-                start,
-            );
-            self.batch_seq += 1;
-            self.run_stats.add(&t);
-            t.seconds()
-        } else {
-            let t = self.model.batch_with(&self.skeleton, &tally, num_channels);
-            self.run_stats.add(&t);
-            t.seconds()
-        }
+        self.price_batch(&tally, batch)
     }
 
-    /// Price one batch on the fleet timeline: split the batch's tallies
-    /// by the shard plan, model each device's kernels on its own host
-    /// worker, and advance the fleet clock by the slowest device plus
-    /// the all-gather exchange. Per-device timings accumulate into
-    /// `run_stats` (which therefore sums *device-seconds*, while
-    /// `modeled_seconds` tracks the wall timeline).
+    /// Price one batch on the modeled timeline. Every device shape runs
+    /// the same phases, booked on the fleet ledger in this order:
     ///
-    /// With no fault schedule installed this is the exact pre-fault
-    /// pricing path; with one, the faulty path layers stragglers,
-    /// degraded links, and reshard-and-retry recovery on top of the
-    /// same functional results (which `process_batch` already
-    /// committed — faults can only bend the timeline).
-    fn price_fleet_batch(&mut self, tally: &BatchTally, batch: &[usize]) -> f64 {
-        let fs = self.fleet.as_ref().expect("fleet path requires fleet state");
-        if fs.topo.is_some() {
-            self.price_cluster_batch(tally, batch)
-        } else if fs.faults.is_empty() {
-            self.price_fleet_batch_healthy(tally, batch)
-        } else {
-            self.price_fleet_batch_faulty(tally, batch)
+    /// 1. shard the batch over its owners;
+    /// 2. slab loads: a device switching slabs streams the new one in;
+    /// 3. compute: every device's kernels, each stretched by its
+    ///    straggler factor; the slowest sets the span;
+    /// 4. failure transform: a device failing at this batch's barrier
+    ///    loses its work, the fleet backs off, reshards over the
+    ///    survivors, and re-runs the lost entries there;
+    /// 5. seam halos between slabs;
+    /// 6. the all-gather exchange of [`mbir_topo::Topology::allgather`];
+    /// 7. every phase books its ledger entry and emits its exchange or
+    ///    fault records as it goes.
+    ///
+    /// A phase a shape does not have (loads and halos with one slab,
+    /// recovery without a failure, the exchange on one device) adds
+    /// exactly `+0.0` and books nothing, so every shape keeps its own
+    /// timeline bit for bit. The returned span sums the phases in that
+    /// order — never differenced off the wall clock, so a resumed run,
+    /// whose clock fast-forwards to the checkpoint's total, accumulates
+    /// bitwise-identical seconds. Per-device timings accumulate into
+    /// `run_stats` (which therefore sums *device-seconds*).
+    fn price_batch(&mut self, tally: &BatchTally, batch: &[usize]) -> f64 {
+        let batch_id = self.batch_seq;
+        self.batch_seq += 1;
+        self.note_episode_onsets(batch_id);
+        let (iter, sink) = (self.iter, self.sink.clone());
+        let exchange = |phase: &str, node: Option<usize>, start: f64, duration: f64, bytes: u64| {
+            if let Some(s) = &sink {
+                s.exchange(&ExchangeRecord {
+                    phase: phase.into(),
+                    node: node.map(|n| n as u64),
+                    iteration: iter,
+                    batch: batch_id,
+                    start_seconds: start,
+                    duration_seconds: duration,
+                    bytes,
+                });
+            }
+        };
+
+        // 1. Shard: each entry runs on its owner, which switches to the
+        // entry's slab (a streaming load unless resident) and pays the
+        // entry's seam halo.
+        let fs = &mut self.fleet;
+        let devices = fs.fleet.devices();
+        let mut owner: Vec<usize> = batch.iter().map(|&sv| fs.device_of(sv)).collect();
+        let mut loads = vec![0u64; devices];
+        let mut halo_bytes = vec![0u64; devices];
+        for (&sv, &d) in batch.iter().zip(&owner) {
+            halo_bytes[d] += fs.seam_bytes[sv];
+            if fs.slabs > 1 && fs.streamer.touch(d, fs.sv_slab[sv]) {
+                loads[d] += 1;
+            }
         }
+
+        // 2. Slab loads stream in over the intra-node link before the
+        // kernels launch: concurrent across devices, serial on one.
+        let spec = fs.topology.spec();
+        let slab_bytes = fs.streamer.slab_bytes();
+        let per_load = fs.topology.intra().transfer_seconds(slab_bytes);
+        let start = fs.fleet.wall_seconds();
+        let load = loads.iter().map(|&l| l as f64 * per_load).fold(0.0, f64::max);
+        if load > 0.0 {
+            for (d, &l) in loads.iter().enumerate().filter(|&(_, &l)| l > 0) {
+                let seconds = l as f64 * per_load;
+                exchange("slab_load", Some(spec.node_of(d)), start, seconds, l * slab_bytes);
+            }
+            fs.fleet.book_transfer(load, loads.iter().sum::<u64>() * slab_bytes);
+        }
+
+        // 3. Compute: every device's kernels start together.
+        let (compute, kernel_seconds) = self.price_compute(tally, &owner, |_| true, batch_id);
+
+        // 4. Failure transform (the retained per-SV costs make the
+        // reshard the same LPT partition any device count would get).
+        let fs = &mut self.fleet;
+        let failures: Vec<usize> =
+            fs.faults.failures_at(batch_id).into_iter().filter(|&d| fs.live[d]).collect();
+        let (mut backoff, mut retry) = (0.0, 0.0);
+        if !failures.is_empty() {
+            backoff = fs.faults.backoff_seconds;
+            let barrier = fs.fleet.wall_seconds();
+            let lost: Vec<bool> = owner.iter().map(|d| failures.contains(d)).collect();
+            for &f in &failures {
+                fs.fleet.record_fault();
+                fs.fleet.record_lost(kernel_seconds[f]);
+                fs.kill(f);
+            }
+            fs.fleet.penalty(backoff);
+            for (bi, &sv) in batch.iter().enumerate().filter(|&(bi, _)| lost[bi]) {
+                owner[bi] = fs.device_of(sv);
+            }
+            let survivors = fs.live_devices();
+            for &f in &failures {
+                let detail = format!("device {f} failed at the batch barrier; shard work lost");
+                self.emit_fault("device_failure", Some(f), batch_id, barrier, 0.0, detail);
+            }
+            (retry, _) = self.price_compute(tally, &owner, |bi| lost[bi], batch_id);
+            self.fleet.fleet.record_recovery(retry);
+            let retried = lost.iter().filter(|&&l| l).count();
+            let detail = format!(
+                "resharded over {survivors} survivors; re-ran {retried} SV(s): \
+                 {backoff:.3}s backoff + {retry:.3e}s retry"
+            );
+            self.emit_fault("recovery", None, batch_id, barrier, backoff + retry, detail);
+        }
+
+        // 5. Seam halos: devices on a slab seam trade one boundary row
+        // with the neighbour slab, concurrently, on the intra link.
+        let fs = &mut self.fleet;
+        let spec = fs.topology.spec();
+        let start = fs.fleet.wall_seconds();
+        let halo_seconds: Vec<f64> = halo_bytes
+            .iter()
+            .map(|&b| if b == 0 { 0.0 } else { fs.topology.intra().transfer_seconds(b) })
+            .collect();
+        let halo = halo_seconds.iter().fold(0.0f64, |a, &b| a.max(b));
+        if halo > 0.0 {
+            for (d, (&b, &s)) in halo_bytes.iter().zip(&halo_seconds).enumerate() {
+                if b > 0 {
+                    exchange("seam_halo", Some(spec.node_of(d)), start, s, b);
+                }
+            }
+            fs.fleet.book_transfer(halo, halo_bytes.iter().sum());
+        }
+
+        // 6. Exchange: every payload is published by its final owner,
+        // over the live devices, at the link episode's bandwidth.
+        let mut payloads = vec![0u64; devices];
+        for (&sv, &d) in batch.iter().zip(&owner) {
+            payloads[d] += fs.payload_bytes[sv];
+        }
+        let link = fs.faults.link_factor(batch_id);
+        let bw = if link == 1.0 { 1.0 } else { 1.0 / link };
+        let cost = fs.topology.allgather(&payloads, Some(&fs.live), bw);
+        let start = fs.fleet.wall_seconds();
+        for (node, p) in cost.intra_gather.iter().enumerate().filter(|(_, p)| p.bytes > 0) {
+            exchange("intra_gather", Some(node), start, p.seconds, p.bytes);
+        }
+        let inter = cost.inter_exchange;
+        let inter_start = start + cost.gather_span();
+        if inter.bytes > 0 {
+            exchange("inter_exchange", None, inter_start, inter.seconds, inter.bytes);
+        }
+        let bcast_start = inter_start + inter.seconds;
+        for (node, p) in cost.intra_broadcast.iter().enumerate().filter(|(_, p)| p.bytes > 0) {
+            exchange("intra_broadcast", Some(node), bcast_start, p.seconds, p.bytes);
+        }
+        fs.fleet.book_exchange(cost.seconds, cost.bytes);
+        load + compute + backoff + retry + halo + cost.seconds
     }
 
-    /// Model each device's kernels for one batch attempt on its own
-    /// host worker; `None` marks a device with nothing launched.
-    /// Profiled spans are emitted against `batch_id`, starting at
-    /// `start` on the fleet timeline.
-    fn price_device_tallies(
-        &self,
-        device_tallies: &[BatchTally],
+    /// The compute phase: price the kernels of the batch entries `pick`
+    /// selects, each on its owner, all devices starting together at the
+    /// fleet clock on their own host workers. Each device's seconds are
+    /// stretched by its straggler factor before the slowest books the
+    /// span; profiled spans keep their nominal durations (a slowdown is
+    /// an episode on the timeline, not a new kernel). Returns the span
+    /// and the per-device seconds.
+    fn price_compute(
+        &mut self,
+        tally: &BatchTally,
+        owner: &[usize],
+        pick: impl Fn(usize) -> bool,
         batch_id: u64,
-        start: f64,
-    ) -> Vec<Option<BatchTiming>> {
+    ) -> (f64, Vec<f64>) {
+        let fs = &mut self.fleet;
+        let mut shards: Vec<BatchTally> =
+            (0..fs.fleet.devices()).map(|_| BatchTally::default()).collect();
+        for (bi, &d) in owner.iter().enumerate().filter(|&(bi, _)| pick(bi)) {
+            shards[d].svs.push(tally.svs[bi]);
+        }
+        let start = fs.fleet.wall_seconds();
         let num_channels = self.a.geometry().num_channels;
-        let model = &self.model;
-        let skeleton = &self.skeleton;
-        let sink = self.sink.clone();
-        let iter = self.iter;
-        mbir_parallel::par_map(self.opts.threads, device_tallies.len(), |d| {
-            let t = &device_tallies[d];
+        let (model, skeleton, sink, iter) = (&self.model, &self.skeleton, &self.sink, self.iter);
+        let timings = mbir_parallel::par_map(self.opts.threads, shards.len(), |d| {
+            let t = &shards[d];
             if t.svs.is_empty() {
                 return None; // nothing launched on this device
             }
-            Some(match &sink {
+            Some(match sink {
                 Some(s) => model.batch_profiled(
                     skeleton,
                     t,
@@ -699,395 +757,71 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 ),
                 None => model.batch_with(skeleton, t, num_channels),
             })
-        })
+        });
+        let mut seconds = Vec::with_capacity(timings.len());
+        for (d, t) in timings.iter().enumerate() {
+            if let Some(t) = t {
+                self.run_stats.add(t);
+            }
+            let k = t.as_ref().map_or(0.0, |t| t.seconds());
+            seconds.push(k * fs.faults.slowdown(d, batch_id));
+        }
+        (fs.fleet.span(&seconds), seconds)
     }
 
-    /// The healthy fleet pricing path (no fault schedule).
-    fn price_fleet_batch_healthy(&mut self, tally: &BatchTally, batch: &[usize]) -> f64 {
-        let fs = self.fleet.as_ref().expect("fleet path requires fleet state");
-        let devices = fs.fleet.devices();
-
-        // Shard the batch's tallies and exchange payloads, preserving
-        // batch order within each device.
-        let mut device_tallies: Vec<BatchTally> =
-            (0..devices).map(|_| BatchTally::default()).collect();
-        let mut payloads = vec![0u64; devices];
-        for (bi, &sv) in batch.iter().enumerate() {
-            let d = fs.device_of(sv);
-            device_tallies[d].svs.push(tally.svs[bi]);
-            payloads[d] += fs.payload_bytes[sv];
-        }
-
-        // Every device's kernels start together at the batch boundary
-        // on the fleet's bulk-synchronous timeline.
-        let start = fs.fleet.wall_seconds();
-        let timings = self.price_device_tallies(&device_tallies, self.batch_seq, start);
-        self.batch_seq += 1;
-
-        let kernel_seconds: Vec<f64> =
-            timings.iter().map(|t| t.as_ref().map_or(0.0, |t| t.seconds())).collect();
-        for t in timings.iter().flatten() {
-            self.run_stats.add(t);
-        }
-        let fs = self.fleet.as_mut().expect("fleet path requires fleet state");
-        fs.fleet.batch(&kernel_seconds, &payloads).wall_seconds()
-    }
-
-    /// The cluster pricing path: slab streaming loads, the
-    /// bulk-synchronous compute span, seam-halo transfers, and the
-    /// hierarchical all-gather — booked in that order onto the
-    /// flattened fleet's ledger (so [`FleetReport`] keeps its shape),
-    /// with every movement surfaced as a schema-v6 exchange record
-    /// when profiling. Loads and halos stay inside a node and are
-    /// priced on the intra-node link, concurrent across devices;
-    /// the exchange is the three-phase hierarchical reduce.
-    fn price_cluster_batch(&mut self, tally: &BatchTally, batch: &[usize]) -> f64 {
-        let batch_id = self.batch_seq;
-        let iter = self.iter;
-        let mut records: Vec<ExchangeRecord> = Vec::new();
-
-        // Shard the batch and charge slab residency switches.
-        let fs = self.fleet.as_mut().expect("fleet path requires fleet state");
-        let devices = fs.fleet.devices();
-        let mut device_tallies: Vec<BatchTally> =
-            (0..devices).map(|_| BatchTally::default()).collect();
-        let mut payloads = vec![0u64; devices];
-        let mut halo_bytes = vec![0u64; devices];
-        let mut loads = vec![0u64; devices];
-        {
-            let topo = fs.topo.as_mut().expect("cluster path requires topo state");
-            for (bi, &sv) in batch.iter().enumerate() {
-                let d = fs.device_ids[fs.shard.device_of(sv)];
-                device_tallies[d].svs.push(tally.svs[bi]);
-                payloads[d] += fs.payload_bytes[sv];
-                halo_bytes[d] += topo.seam_bytes[sv];
-                if topo.slabs > 1 && topo.streamer.touch(d, topo.sv_slab[sv]) {
-                    loads[d] += 1;
-                }
-            }
-        }
-
-        // Slab loads stream in before the kernels launch; devices
-        // load concurrently, multiple loads on one device serialize.
-        let topo = fs.topo.as_ref().expect("cluster path requires topo state");
-        let slab_bytes = topo.streamer.slab_bytes();
-        let per_load = topo.topology.intra().transfer_seconds(slab_bytes);
-        let load_start = fs.fleet.wall_seconds();
-        let load_span = loads.iter().map(|&l| l as f64 * per_load).fold(0.0, f64::max);
-        if load_span > 0.0 {
-            for (d, &l) in loads.iter().enumerate() {
-                if l > 0 {
-                    records.push(ExchangeRecord {
-                        phase: "slab_load".into(),
-                        node: Some(topo.topology.spec().node_of(d) as u64),
-                        iteration: iter,
-                        batch: batch_id,
-                        start_seconds: load_start,
-                        duration_seconds: l as f64 * per_load,
-                        bytes: l * slab_bytes,
-                    });
-                }
-            }
-            let total = loads.iter().sum::<u64>() * slab_bytes;
-            fs.fleet.book_transfer(load_span, total);
-        }
-
-        // Every device's kernels start together after the loads.
-        let start = fs.fleet.wall_seconds();
-        let timings = self.price_device_tallies(&device_tallies, batch_id, start);
-        self.batch_seq += 1;
-        let kernel_seconds: Vec<f64> =
-            timings.iter().map(|t| t.as_ref().map_or(0.0, |t| t.seconds())).collect();
-        for t in timings.iter().flatten() {
-            self.run_stats.add(t);
-        }
-
-        let fs = self.fleet.as_mut().expect("fleet path requires fleet state");
-        let compute_span = fs.fleet.span(&kernel_seconds);
-
-        // Seam halos: devices on a slab seam trade one boundary row
-        // with the neighbor slab, concurrently, on the intra link.
-        let topo = fs.topo.as_ref().expect("cluster path requires topo state");
-        let halo_start = fs.fleet.wall_seconds();
-        let halo_seconds: Vec<f64> = halo_bytes
-            .iter()
-            .map(|&b| if b == 0 { 0.0 } else { topo.topology.intra().transfer_seconds(b) })
-            .collect();
-        let halo_span = halo_seconds.iter().fold(0.0f64, |a, &b| a.max(b));
-        if halo_span > 0.0 {
-            for (d, (&b, &s)) in halo_bytes.iter().zip(&halo_seconds).enumerate() {
-                if b > 0 {
-                    records.push(ExchangeRecord {
-                        phase: "seam_halo".into(),
-                        node: Some(topo.topology.spec().node_of(d) as u64),
-                        iteration: iter,
-                        batch: batch_id,
-                        start_seconds: halo_start,
-                        duration_seconds: s,
-                        bytes: b,
-                    });
-                }
-            }
-            fs.fleet.book_transfer(halo_span, halo_bytes.iter().sum());
-        }
-
-        // The hierarchical reduce replaces the flat ring all-gather.
-        let cost = topo.topology.allgather(&payloads);
-        let ex_start = fs.fleet.wall_seconds();
-        for (node, p) in cost.intra_gather.iter().enumerate() {
-            if p.bytes > 0 {
-                records.push(ExchangeRecord {
-                    phase: "intra_gather".into(),
-                    node: Some(node as u64),
-                    iteration: iter,
-                    batch: batch_id,
-                    start_seconds: ex_start,
-                    duration_seconds: p.seconds,
-                    bytes: p.bytes,
-                });
-            }
-        }
-        let inter_start = ex_start + cost.gather_span();
-        if cost.inter_exchange.bytes > 0 {
-            records.push(ExchangeRecord {
-                phase: "inter_exchange".into(),
-                node: None,
-                iteration: iter,
-                batch: batch_id,
-                start_seconds: inter_start,
-                duration_seconds: cost.inter_exchange.seconds,
-                bytes: cost.inter_exchange.bytes,
-            });
-        }
-        let bcast_start = inter_start + cost.inter_exchange.seconds;
-        for (node, p) in cost.intra_broadcast.iter().enumerate() {
-            if p.bytes > 0 {
-                records.push(ExchangeRecord {
-                    phase: "intra_broadcast".into(),
-                    node: Some(node as u64),
-                    iteration: iter,
-                    batch: batch_id,
-                    start_seconds: bcast_start,
-                    duration_seconds: p.seconds,
-                    bytes: p.bytes,
-                });
-            }
-        }
-        fs.fleet.book_exchange(cost.seconds, cost.bytes);
-        // Callers accumulate per-batch spans. Sum the booked spans in
-        // booking order (rather than differencing the wall clock) so
-        // the degenerate 1-node, 1-slab shape reproduces the flat
-        // path's `kernel + exchange` bit for bit.
-        let span = load_span + compute_span + halo_span + cost.seconds;
-
-        if let Some(sink) = &self.sink {
-            for r in &records {
-                sink.exchange(r);
-            }
-        }
-        span
-    }
-
-    /// The fault-injected fleet pricing path: apply straggler and
-    /// degraded-link episodes, and on a scheduled device failure lose
-    /// the attempt's span at the barrier, charge the detect/re-init
-    /// backoff, reshard over the survivors, and re-price the failed
-    /// shard's work there before the (shrunken-ring) exchange.
-    fn price_fleet_batch_faulty(&mut self, tally: &BatchTally, batch: &[usize]) -> f64 {
-        let batch_id = self.batch_seq;
-        self.batch_seq += 1;
-        self.note_episode_onsets(batch_id);
-
-        let fs = self.fleet.as_ref().expect("fleet path requires fleet state");
-        let devices = fs.fleet.devices();
-        let wall_before = fs.fleet.wall_seconds();
-
-        // Shard the tallies over the live owners, remembering which
-        // device holds each batch entry so a failure knows exactly
-        // what to re-run.
-        let mut device_tallies: Vec<BatchTally> =
-            (0..devices).map(|_| BatchTally::default()).collect();
-        let mut owner = vec![0usize; batch.len()];
-        for (bi, &sv) in batch.iter().enumerate() {
-            let d = fs.device_of(sv);
-            owner[bi] = d;
-            device_tallies[d].svs.push(tally.svs[bi]);
-        }
-
-        // Price the attempt. Stragglers stretch the *ledger* seconds;
-        // profiled spans keep their nominal kernel durations (the
-        // slowdown is an episode on the timeline, not a new kernel).
-        let timings = self.price_device_tallies(&device_tallies, batch_id, wall_before);
-        for t in timings.iter().flatten() {
-            self.run_stats.add(t);
-        }
-        let fs = self.fleet.as_ref().expect("fleet path requires fleet state");
-        let mut kernel_seconds: Vec<f64> =
-            timings.iter().map(|t| t.as_ref().map_or(0.0, |t| t.seconds())).collect();
-        for (d, k) in kernel_seconds.iter_mut().enumerate() {
-            *k *= fs.faults.slowdown(d, batch_id);
-        }
-
-        // A degraded link divides the interconnect bandwidth by the
-        // episode factor (factor 1.0 is the exact healthy pricing).
-        let link = fs.faults.link_factor(batch_id);
-        let bw = if link == 1.0 { 1.0 } else { 1.0 / link };
-
-        let failures: Vec<usize> =
-            fs.faults.failures_at(batch_id).into_iter().filter(|&d| fs.live[d]).collect();
-
-        // Returned batch seconds are summed from the per-batch cost
-        // components (never differenced off the wall clock), so a
-        // resumed run — whose wall clock fast-forwards to the
-        // checkpoint's total — accumulates bitwise-identical modeled
-        // seconds to an uninterrupted one.
-        if failures.is_empty() {
-            let mut payloads = vec![0u64; devices];
-            for (bi, &sv) in batch.iter().enumerate() {
-                payloads[owner[bi]] += fs.payload_bytes[sv];
-            }
-            let live = fs.live.clone();
-            let fs = self.fleet.as_mut().expect("fleet path requires fleet state");
-            return fs
-                .fleet
-                .batch_among(&kernel_seconds, &payloads, Some(&live), bw)
-                .wall_seconds();
-        }
-
-        // Device failure(s) strike at this batch's barrier: the
-        // attempt's span elapses, the failed devices' work is lost.
-        let backoff = fs.faults.backoff_seconds;
-        let fs = self.fleet.as_mut().expect("fleet path requires fleet state");
-        let attempt_span = fs.fleet.span(&kernel_seconds);
-        let barrier = fs.fleet.wall_seconds();
-        for &f in &failures {
-            fs.fleet.record_fault();
-            fs.fleet.record_lost(kernel_seconds[f]);
-        }
-        fs.fleet.penalty(backoff);
-        if let Some(sink) = &self.sink {
-            for &f in &failures {
-                sink.fault(&FaultRecord {
-                    kind: "device_failure".into(),
-                    device: Some(f as u64),
-                    iteration: self.iter,
-                    batch: batch_id,
-                    start_seconds: barrier,
-                    duration_seconds: 0.0,
-                    detail: format!("device {f} failed at the batch barrier; shard work lost"),
-                });
-            }
-        }
-
-        // Reshard over the survivors (deterministic: the retained
-        // per-SV costs re-run the same LPT partition any device count
-        // would get), then re-price only the lost entries there.
-        for &f in &failures {
-            fs.kill(f);
-        }
-        let mut retry_tallies: Vec<BatchTally> =
-            (0..devices).map(|_| BatchTally::default()).collect();
-        let mut retried = 0usize;
-        for (bi, &sv) in batch.iter().enumerate() {
-            if failures.contains(&owner[bi]) {
-                let d = fs.device_of(sv);
-                owner[bi] = d;
-                retry_tallies[d].svs.push(tally.svs[bi]);
-                retried += 1;
-            }
-        }
-        let retry_start = fs.fleet.wall_seconds();
-
-        let retry_timings = self.price_device_tallies(&retry_tallies, batch_id, retry_start);
-        for t in retry_timings.iter().flatten() {
-            self.run_stats.add(t);
-        }
-        let fs = self.fleet.as_mut().expect("fleet path requires fleet state");
-        let mut retry_seconds: Vec<f64> =
-            retry_timings.iter().map(|t| t.as_ref().map_or(0.0, |t| t.seconds())).collect();
-        for (d, k) in retry_seconds.iter_mut().enumerate() {
-            *k *= fs.faults.slowdown(d, batch_id);
-        }
-        let retry_span = fs.fleet.span(&retry_seconds);
-        fs.fleet.record_recovery(retry_span);
-
-        // The all-gather runs once, after recovery, over the shrunken
-        // ring, with every payload published by its final owner.
-        let mut payloads = vec![0u64; devices];
-        for (bi, &sv) in batch.iter().enumerate() {
-            payloads[owner[bi]] += fs.payload_bytes[sv];
-        }
-        let live = fs.live.clone();
-        let survivors = fs.live_devices();
-        let exchange =
-            fs.fleet.batch_among(&vec![0.0; devices], &payloads, Some(&live), bw).wall_seconds();
+    /// Emit a fault-lane record for the batch, if profiling.
+    fn emit_fault(
+        &self,
+        kind: &str,
+        device: Option<usize>,
+        batch: u64,
+        start_seconds: f64,
+        duration_seconds: f64,
+        detail: String,
+    ) {
         if let Some(sink) = &self.sink {
             sink.fault(&FaultRecord {
-                kind: "recovery".into(),
-                device: None,
+                kind: kind.into(),
+                device: device.map(|d| d as u64),
                 iteration: self.iter,
-                batch: batch_id,
-                start_seconds: barrier,
-                duration_seconds: backoff + retry_span,
-                detail: format!(
-                    "resharded over {survivors} survivors; re-ran {retried} SV(s): \
-                     {backoff:.3}s backoff + {retry_span:.3e}s retry"
-                ),
+                batch,
+                start_seconds,
+                duration_seconds,
+                detail,
             });
         }
-        attempt_span + backoff + retry_span + exchange
     }
 
     /// Surface straggler / degraded-link episode onsets to the fault
     /// lane, once per episode, at the first batch each covers.
     fn note_episode_onsets(&mut self, batch_id: u64) {
-        let Some(fs) = self.fleet.as_mut() else { return };
-        for (i, ev) in fs.faults.events.clone().iter().enumerate() {
-            if fs.episode_emitted[i] {
-                continue;
-            }
-            let record = match *ev {
+        let start = self.fleet.fleet.wall_seconds();
+        for i in 0..self.fleet.faults.events.len() {
+            let (kind, device, detail) = match self.fleet.faults.events[i] {
+                _ if self.fleet.episode_emitted[i] => continue,
                 FaultEvent::Straggler { device, from_batch, to_batch, factor }
                     if (from_batch..=to_batch).contains(&batch_id) =>
                 {
-                    Some(FaultRecord {
-                        kind: "straggler".into(),
-                        device: Some(device as u64),
-                        iteration: self.iter,
-                        batch: batch_id,
-                        start_seconds: fs.fleet.wall_seconds(),
-                        duration_seconds: 0.0,
-                        detail: format!(
-                            "device {device} running {factor:.2}x slower for batches \
-                             {from_batch}..={to_batch}"
-                        ),
-                    })
+                    let detail = format!(
+                        "device {device} running {factor:.2}x slower for batches \
+                         {from_batch}..={to_batch}"
+                    );
+                    ("straggler", Some(device), detail)
                 }
                 FaultEvent::DegradedLink { from_batch, to_batch, factor }
                     if (from_batch..=to_batch).contains(&batch_id) =>
                 {
-                    Some(FaultRecord {
-                        kind: "degraded_link".into(),
-                        device: None,
-                        iteration: self.iter,
-                        batch: batch_id,
-                        start_seconds: fs.fleet.wall_seconds(),
-                        duration_seconds: 0.0,
-                        detail: format!(
-                            "interconnect at 1/{factor:.2} bandwidth for batches \
-                             {from_batch}..={to_batch}"
-                        ),
-                    })
+                    let detail = format!(
+                        "interconnect at 1/{factor:.2} bandwidth for batches \
+                         {from_batch}..={to_batch}"
+                    );
+                    ("degraded_link", None, detail)
                 }
-                _ => None,
+                _ => continue,
             };
-            if let Some(r) = record {
-                fs.episode_emitted[i] = true;
-                fs.fleet.record_fault();
-                if let Some(sink) = &self.sink {
-                    sink.fault(&r);
-                }
-            }
+            self.fleet.episode_emitted[i] = true;
+            self.fleet.fleet.record_fault();
+            self.emit_fault(kind, device, batch_id, start, 0.0, detail);
         }
     }
 
@@ -1198,9 +932,11 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
 
     /// Restore a checkpointed state into a freshly-built driver. The
     /// driver must be configured exactly as the checkpointed run was
-    /// (same geometry, seed, and device count; if fault injection is
-    /// in play, install the same schedule via [`GpuIcd::set_fault_spec`]
-    /// *before* this call) — resuming then continues bitwise
+    /// (same geometry, seed, device count and fleet or cluster spec; if
+    /// fault injection is in play, install the same schedule via
+    /// [`GpuIcd::set_fault_spec`] *before* this call; a cluster of more
+    /// than one slab is refused, since slab residency is not part of
+    /// the checkpoint) — resuming then continues bitwise
     /// identically to a run that was never interrupted. Per-kernel
     /// `run_stats` and the fleet's per-device busy ledger restart at
     /// zero and cover only the post-resume stretch; the fleet wall
@@ -1214,10 +950,10 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 "restore requires a freshly-built driver (no iterations run)".into(),
             ));
         }
-        if self.fleet.as_ref().is_some_and(|fs| fs.topo.is_some()) {
+        if self.fleet.topology.spec().slabs > 1 {
             return Err(MbirError::Checkpoint(
-                "checkpoint restore is not supported on cluster topologies (slab residency \
-                 resets on restore, so the resumed timeline would diverge)"
+                "checkpoint restore is not supported on cluster topologies with more than one \
+                 slab (slab residency is not checkpointed, so the resumed timeline would diverge)"
                     .into(),
             ));
         }
@@ -1267,27 +1003,26 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         self.batch_seq = ckp.batch_seq;
         self.stats = ckp.stats;
         self.modeled_seconds = ckp.modeled_seconds;
-        if let Some(fs) = self.fleet.as_mut() {
-            fs.fleet.fast_forward_to(ckp.modeled_seconds);
-            // Replay the schedule's history up to the checkpoint:
-            // failures already struck (re-kill, resharding exactly as
-            // the interrupted run did) and episodes already surfaced
-            // (don't re-emit their onsets).
-            for (i, ev) in fs.faults.events.clone().iter().enumerate() {
-                match *ev {
-                    FaultEvent::DeviceFailure { device, batch }
-                        if batch < ckp.batch_seq && fs.live[device] =>
-                    {
-                        fs.kill(device);
-                    }
-                    FaultEvent::Straggler { from_batch, .. } if from_batch < ckp.batch_seq => {
-                        fs.episode_emitted[i] = true;
-                    }
-                    FaultEvent::DegradedLink { from_batch, .. } if from_batch < ckp.batch_seq => {
-                        fs.episode_emitted[i] = true;
-                    }
-                    _ => {}
+        let fs = &mut self.fleet;
+        fs.fleet.fast_forward_to(ckp.modeled_seconds);
+        // Replay the schedule's history up to the checkpoint: failures
+        // already struck (re-kill, resharding exactly as the
+        // interrupted run did) and episodes already surfaced (don't
+        // re-emit their onsets).
+        for (i, ev) in fs.faults.events.clone().iter().enumerate() {
+            match *ev {
+                FaultEvent::DeviceFailure { device, batch }
+                    if batch < ckp.batch_seq && fs.live[device] =>
+                {
+                    fs.kill(device);
                 }
+                FaultEvent::Straggler { from_batch, .. } if from_batch < ckp.batch_seq => {
+                    fs.episode_emitted[i] = true;
+                }
+                FaultEvent::DegradedLink { from_batch, .. } if from_batch < ckp.batch_seq => {
+                    fs.episode_emitted[i] = true;
+                }
+                _ => {}
             }
         }
         Ok(())
@@ -1340,11 +1075,8 @@ fn update_sv<P: Prior>(
     order.shuffle(&mut rng);
 
     let cached = opts.plan_cache;
-    let chunk_width = match opts.layout {
-        Layout::Chunked { width } => Some(width as usize),
-        Layout::Naive => None,
-    };
-    let quantized = if opts.amatrix.quantized() { Some(opts.amatrix_bits) } else { None };
+    let chunk_width = opts.chunk_width();
+    let quantized = opts.quant_bits();
     // Resolve the lane-kernel backend once per SV (the env fallback is
     // not free) and hand the concrete choice to every voxel visit.
     let simd = mbir_simd::resolve(opts.simd);

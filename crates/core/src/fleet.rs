@@ -5,8 +5,9 @@
 //! batch share no boundary voxels, every device gathers from the same
 //! error-sinogram snapshot, and commits merge in batch order — so the
 //! fleet only re-prices the timeline: each device runs the kernels of
-//! its shard, the slowest device sets the batch's compute span, and a
-//! ring all-gather of error-band deltas and image halos follows.
+//! its shard, the slowest device sets the batch's compute span, and an
+//! all-gather of error-band deltas and image halos follows (the ring on
+//! one node, the hierarchical reduce across nodes).
 //!
 //! The shard itself is planned once at setup from *modeled per-SV
 //! cost*: each SV's plan is priced as a one-SV batch through the same
@@ -19,34 +20,15 @@
 use crate::model::{GpuWorkModel, ProfileSkeleton};
 use crate::opts::GpuOptions;
 use crate::tally::{BatchTally, SvTally};
-use mbir_fleet::{FaultSpec, Fleet, FleetReport, FleetSpec, ShardPlan};
+use mbir_fleet::{FaultSpec, Fleet, FleetReport, ShardPlan};
 use mbir_topo::{ClusterSpec, SlabPlan, SlabStreamer, Topology};
 use supervoxel::plan::{SvPlan, SvPlanSet};
 use supervoxel::tiling::Tiling;
 
-/// Cluster-mode extension of the fleet state: the hierarchical
-/// exchange pricer plus the slab residency the streaming regime
-/// tracks. Present only when the driver was given a [`ClusterSpec`];
-/// flat fleets never pay any of these costs.
-pub(crate) struct TopoState {
-    /// Prices hierarchical all-gathers, and (through its intra-node
-    /// link) slab streaming loads and seam-halo transfers.
-    pub(crate) topology: Topology,
-    /// Effective slab count (clamped to the SV-row count). One slab
-    /// means the whole volume fits every device: no streaming, no
-    /// seams — the flat fleet's memory assumption.
-    pub(crate) slabs: usize,
-    /// Per SV: the axial slab owning its SV row.
-    pub(crate) sv_slab: Vec<usize>,
-    /// Per SV: seam-halo bytes a batch touching it pays (0 off-seam —
-    /// one boundary row of f32 voxels on a slab seam).
-    pub(crate) seam_bytes: Vec<u64>,
-    /// Per-device slab residency and the streaming-load counter.
-    pub(crate) streamer: SlabStreamer,
-}
-
 /// Sharding plan, per-SV exchange payloads, liveness, fault schedule,
-/// and the fleet clocks for one GPU-ICD run.
+/// slab residency, and the fleet clocks for one GPU-ICD run. Every
+/// device shape is a cluster: a flat fleet is one node with one slab
+/// ([`ClusterSpec::single_node`]), a single device a one-device fleet.
 pub struct FleetState {
     /// Partition of SVs over *shard slots*; [`FleetState::device_ids`]
     /// maps a slot to the physical device holding it (the identity map
@@ -64,31 +46,36 @@ pub struct FleetState {
     /// image halo.
     pub(crate) payload_bytes: Vec<u64>,
     pub(crate) fleet: Fleet,
-    /// Scheduled adverse events (empty = healthy run, priced on the
-    /// exact pre-fault path).
+    /// Scheduled adverse events (empty = healthy run).
     pub(crate) faults: FaultSpec,
     /// Per fault event: already surfaced to the telemetry fault lane?
     /// (Episodes spanning many batches are reported once, at onset.)
     pub(crate) episode_emitted: Vec<bool>,
-    /// Cluster topology + slab streaming (None on flat fleets).
-    pub(crate) topo: Option<TopoState>,
+    /// Prices the exchange (the hierarchical reduce; on one node, the
+    /// flat ring) and, through its intra-node link, slab streaming
+    /// loads and seam-halo transfers.
+    pub(crate) topology: Topology,
+    /// Effective slab count (clamped to the SV-row count). One slab
+    /// means the whole volume fits every device: no streaming, no
+    /// seams.
+    pub(crate) slabs: usize,
+    /// Per SV: the axial slab owning its SV row.
+    pub(crate) sv_slab: Vec<usize>,
+    /// Per SV: seam-halo bytes a batch touching it pays (0 off-seam —
+    /// one boundary row of f32 voxels on a slab seam).
+    pub(crate) seam_bytes: Vec<u64>,
+    /// Per-device slab residency and the streaming-load counter.
+    pub(crate) streamer: SlabStreamer,
 }
 
 impl FleetState {
-    /// Plan the shard and zero the clocks. `spec.devices` must match
-    /// `opts.devices`.
-    pub fn new(
-        model: &GpuWorkModel,
-        skeleton: &ProfileSkeleton,
-        plans: &SvPlanSet,
-        tiling: &Tiling,
-        opts: &GpuOptions,
-        num_channels: usize,
-        spec: FleetSpec,
-    ) -> Self {
-        assert_eq!(spec.devices, opts.devices, "fleet spec sized for a different device count");
-        let costs = sv_costs(model, skeleton, plans, opts, num_channels);
-        let shard = ShardPlan::balanced(&costs, spec.devices);
+    /// Plan the shard over `costs` (see [`sv_costs`]) and zero the
+    /// clocks. SVs shard *within* their slab's device group, so devices
+    /// only ever touch slabs they are assigned, keeping streaming loads
+    /// to the unavoidable minimum; with one slab every group is the
+    /// whole fleet and the plan is the unconstrained LPT partition.
+    pub fn new(plans: &SvPlanSet, tiling: &Tiling, costs: Vec<f64>, cluster: ClusterSpec) -> Self {
+        let devices = cluster.total_devices();
         let payload_bytes = tiling
             .svs()
             .iter()
@@ -100,49 +87,12 @@ impl FleetState {
                 plan.svb_bytes as u64 + halo
             })
             .collect();
-        let devices = spec.devices;
-        FleetState {
-            shard,
-            device_ids: (0..devices).collect(),
-            live: vec![true; devices],
-            costs,
-            payload_bytes,
-            fleet: Fleet::new(spec),
-            faults: FaultSpec::none(),
-            episode_emitted: Vec::new(),
-            topo: None,
-        }
-    }
 
-    /// Plan a cluster run: shard SVs *within* their slab's device
-    /// group (so devices only ever touch slabs they are assigned,
-    /// keeping streaming loads to the unavoidable minimum), price
-    /// exchanges hierarchically, and track slab residency. The fleet
-    /// clocks run on the flattened cluster
-    /// ([`ClusterSpec::flatten`]); exchange, slab-load, and seam-halo
-    /// costs are booked onto them explicitly by the driver. With one
-    /// node and one slab this degenerates bitwise to
-    /// [`FleetState::new`] on the node's fleet: `balanced_within`
-    /// under a full-fleet range replays the unconstrained LPT
-    /// partition exactly, and the hierarchical reduce of a single
-    /// node is the flat intra-node ring.
-    pub fn new_cluster(
-        model: &GpuWorkModel,
-        skeleton: &ProfileSkeleton,
-        plans: &SvPlanSet,
-        tiling: &Tiling,
-        opts: &GpuOptions,
-        num_channels: usize,
-        cluster: ClusterSpec,
-    ) -> Self {
-        let devices = cluster.total_devices();
-        assert_eq!(devices, opts.devices, "cluster spec sized for a different device count");
         let (sv_rows, _) = tiling.sv_grid();
         let plan = SlabPlan::new(sv_rows, cluster.slabs);
-
         let sv_slab: Vec<usize> =
             tiling.svs().iter().map(|sv| plan.slab_of_row(sv.sv_row)).collect();
-        let seam_bytes: Vec<u64> = tiling
+        let seam_bytes = tiling
             .svs()
             .iter()
             .map(|sv| if plan.is_seam_row(sv.sv_row) { sv.cols as u64 * 4 } else { 0 })
@@ -157,17 +107,21 @@ impl FleetState {
         let band_bytes: u64 = plans.plans().iter().map(|p| p.svb_bytes as u64).sum();
         let slab_bytes = (image_bytes + band_bytes) / plan.slabs() as u64;
 
-        let mut fs =
-            FleetState::new(model, skeleton, plans, tiling, opts, num_channels, cluster.flatten());
-        fs.shard = ShardPlan::balanced_within(&fs.costs, devices, &allowed);
-        fs.topo = Some(TopoState {
+        FleetState {
+            shard: ShardPlan::balanced_within(&costs, devices, &allowed),
+            device_ids: (0..devices).collect(),
+            live: vec![true; devices],
+            costs,
+            payload_bytes,
+            fleet: Fleet::new(devices),
+            faults: FaultSpec::none(),
+            episode_emitted: Vec::new(),
             topology: Topology::new(cluster),
             slabs: plan.slabs(),
             sv_slab,
             seam_bytes,
             streamer: SlabStreamer::new(devices, slab_bytes),
-        });
-        fs
+        }
     }
 
     /// The sharding plan in force.
@@ -211,6 +165,13 @@ impl FleetState {
     pub fn report(&self) -> FleetReport {
         self.fleet.report()
     }
+}
+
+/// Whether the batch schedule can carry device faults on `cluster`:
+/// resharding after a failure replays the flat LPT partition, which
+/// knows neither node nor slab groups.
+pub(crate) fn carries_faults(cluster: &ClusterSpec) -> bool {
+    cluster.nodes == 1 && cluster.slabs == 1
 }
 
 /// Price every SV's plan as a one-SV batch through the work model —
@@ -258,26 +219,10 @@ mod tests {
     use crate::driver::plan_config;
     use ct_core::geometry::Geometry;
     use ct_core::sysmat::SystemMatrix;
+    use mbir_fleet::FleetSpec;
 
     fn state(devices: usize) -> (FleetState, usize) {
-        let g = Geometry::tiny_scale();
-        let a = SystemMatrix::compute(&g);
-        let opts = GpuOptions { sv_side: 6, devices, ..Default::default() };
-        let tiling = Tiling::new(g.grid, opts.sv_side);
-        let plans = SvPlanSet::build(&a, &tiling, plan_config(&opts), 1);
-        let model = GpuWorkModel::titan_x();
-        let skeleton = model.skeleton(&opts);
-        let n = tiling.len();
-        let fs = FleetState::new(
-            &model,
-            &skeleton,
-            &plans,
-            &tiling,
-            &opts,
-            g.num_channels,
-            FleetSpec::titan_x_pcie(devices),
-        );
-        (fs, n)
+        cluster_state_of(ClusterSpec::single_node(FleetSpec::titan_x_pcie(devices)))
     }
 
     #[test]
@@ -325,41 +270,36 @@ mod tests {
     }
 
     fn cluster_state(nodes: usize, dpn: usize, slabs: usize) -> (FleetState, usize) {
+        cluster_state_of(ClusterSpec::titan_x_cluster(nodes, dpn).with_slabs(slabs))
+    }
+
+    fn cluster_state_of(cluster: ClusterSpec) -> (FleetState, usize) {
         let g = Geometry::tiny_scale();
         let a = SystemMatrix::compute(&g);
-        let opts = GpuOptions { sv_side: 6, devices: nodes * dpn, ..Default::default() };
+        let opts =
+            GpuOptions { sv_side: 6, devices: cluster.total_devices(), ..Default::default() };
         let tiling = Tiling::new(g.grid, opts.sv_side);
         let plans = SvPlanSet::build(&a, &tiling, plan_config(&opts), 1);
         let model = GpuWorkModel::titan_x();
         let skeleton = model.skeleton(&opts);
         let n = tiling.len();
-        let cluster = mbir_topo::ClusterSpec::titan_x_cluster(nodes, dpn).with_slabs(slabs);
-        let fs = FleetState::new_cluster(
-            &model,
-            &skeleton,
-            &plans,
-            &tiling,
-            &opts,
-            g.num_channels,
-            cluster,
-        );
-        (fs, n)
+        let costs = sv_costs(&model, &skeleton, &plans, &opts, g.num_channels);
+        (FleetState::new(&plans, &tiling, costs, cluster), n)
     }
 
     #[test]
     fn cluster_shard_stays_inside_each_svs_slab_group() {
         let (fs, n) = cluster_state(2, 2, 2);
-        let topo = fs.topo.as_ref().expect("cluster state");
         let plan = SlabPlan::new(4, 2); // tiny_scale @ sv_side 6: 4 SV rows
         for sv in 0..n {
-            let (lo, hi) = plan.device_group(topo.sv_slab[sv], 4);
+            let (lo, hi) = plan.device_group(fs.sv_slab[sv], 4);
             let d = fs.device_of(sv);
-            assert!(d >= lo && d < hi, "sv {sv} (slab {}) on device {d}", topo.sv_slab[sv]);
+            assert!(d >= lo && d < hi, "sv {sv} (slab {}) on device {d}", fs.sv_slab[sv]);
         }
         // Middle rows flank the slab seam and carry halo bytes; the
         // outer rows do not.
-        assert!((0..n).any(|sv| topo.seam_bytes[sv] > 0));
-        assert!((0..n).any(|sv| topo.seam_bytes[sv] == 0));
+        assert!((0..n).any(|sv| fs.seam_bytes[sv] > 0));
+        assert!((0..n).any(|sv| fs.seam_bytes[sv] == 0));
     }
 
     #[test]
@@ -372,17 +312,16 @@ mod tests {
         for sv in 0..n {
             assert_eq!(cluster.shard().device_of(sv), flat.shard().device_of(sv));
         }
-        let topo = cluster.topo.as_ref().expect("cluster state");
-        assert!(topo.seam_bytes.iter().all(|&b| b == 0), "one slab has no seams");
-        assert!(topo.sv_slab.iter().all(|&s| s == 0));
+        assert!(cluster.seam_bytes.iter().all(|&b| b == 0), "one slab has no seams");
+        assert!(cluster.sv_slab.iter().all(|&s| s == 0));
     }
 
     #[test]
     fn slab_bytes_split_the_modeled_footprint() {
         let (one, _) = cluster_state(2, 2, 1);
         let (four, _) = cluster_state(2, 2, 4);
-        let whole = one.topo.as_ref().unwrap().streamer.slab_bytes();
-        let quarter = four.topo.as_ref().unwrap().streamer.slab_bytes();
+        let whole = one.streamer.slab_bytes();
+        let quarter = four.streamer.slab_bytes();
         assert!(whole > 0);
         assert_eq!(quarter, whole / 4);
     }

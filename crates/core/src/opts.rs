@@ -6,6 +6,7 @@
 //! A-matrix via texture, double-width L2 reads).
 
 use serde::{Deserialize, Serialize};
+use supervoxel::svb::SvbLayout;
 
 /// Data layout used by the MBIR kernel (paper Section 4.1 / Fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,11 +127,11 @@ pub struct GpuOptions {
     /// any value). 0 defers to the process-wide setting
     /// (`mbir_parallel::threads()`).
     pub threads: usize,
-    /// Simulated devices the SV set is sharded across (1 = the plain
-    /// single-device driver, bypassing the fleet path entirely).
-    /// Functional results are bitwise identical at any count — only the
-    /// modeled timeline changes, which above 1 prices per-device kernel
-    /// spans plus the inter-device exchanges.
+    /// Simulated devices the SV set is sharded across (1 = a one-device
+    /// fleet, whose exchange phases cost nothing). Functional results
+    /// are bitwise identical at any count — only the modeled timeline
+    /// changes, which above 1 prices per-device kernel spans plus the
+    /// inter-device exchanges.
     pub devices: usize,
     /// Reuse the iteration-invariant per-SV plan (shapes, chunk
     /// tallies, quantized columns) across iterations instead of
@@ -201,6 +202,26 @@ impl GpuOptions {
             self.svs_per_batch / 4
         } else {
             0
+        }
+    }
+    /// The SVB layout the MBIR kernel reads under `layout`.
+    pub fn svb_layout(&self) -> SvbLayout {
+        match self.layout {
+            Layout::Naive => SvbLayout::SensorMajor,
+            Layout::Chunked { .. } => SvbLayout::Transposed,
+        }
+    }
+
+    /// The A-matrix quantization width, when `amatrix` quantizes.
+    pub fn quant_bits(&self) -> Option<u32> {
+        self.amatrix.quantized().then_some(self.amatrix_bits)
+    }
+
+    /// The chunk width in channels, under the chunked layout.
+    pub fn chunk_width(&self) -> Option<usize> {
+        match self.layout {
+            Layout::Chunked { width } => Some(width as usize),
+            Layout::Naive => None,
         }
     }
 }

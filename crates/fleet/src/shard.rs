@@ -23,36 +23,15 @@ impl ShardPlan {
     /// equal costs go in SV-id order, equal loads to the lowest device
     /// id — so the plan is a pure function of its inputs.
     pub fn balanced(costs: &[f64], devices: usize) -> Self {
-        assert!(devices >= 1, "a shard plan needs at least one device");
-        assert!(
-            costs.iter().all(|c| c.is_finite() && *c >= 0.0),
-            "SV costs must be finite and non-negative"
-        );
-        let mut order: Vec<usize> = (0..costs.len()).collect();
-        order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
-
-        let mut assignment = vec![0usize; costs.len()];
-        let mut loads = vec![0.0f64; devices];
-        for sv in order {
-            let device = loads
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                .map(|(d, _)| d)
-                .unwrap();
-            assignment[sv] = device;
-            loads[device] += costs[sv];
-        }
-        ShardPlan { assignment, loads }
+        Self::balanced_within(costs, devices, &vec![(0, devices); costs.len()])
     }
 
     /// [`ShardPlan::balanced`] with placement constraints: SV `sv` may
     /// only land on devices in the half-open range `allowed[sv]`. The
     /// topology layer's slab-aware sharding uses this to keep each
-    /// slab's SVs within the device group holding that slab resident.
-    /// Visit order and tie-breaks are identical to the unconstrained
-    /// planner, so a constraint of `(0, devices)` for every SV
-    /// produces the exact same plan as [`ShardPlan::balanced`].
+    /// slab's SVs within the device group holding that slab resident;
+    /// the unconstrained planner is the constraint `(0, devices)` for
+    /// every SV.
     pub fn balanced_within(costs: &[f64], devices: usize, allowed: &[(usize, usize)]) -> Self {
         assert!(devices >= 1, "a shard plan needs at least one device");
         assert_eq!(allowed.len(), costs.len(), "one device range per SV");

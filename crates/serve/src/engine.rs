@@ -123,8 +123,8 @@ fn prepare_job(
     })
 }
 
-/// Build (or rebuild) a driver on a lease: carve the sub-fleet when
-/// the lease spans devices, restore the checkpoint when resuming.
+/// Build (or rebuild) a driver on a lease: carve the lease's
+/// sub-fleet, restore the checkpoint when resuming.
 fn build_driver<'p>(
     p: &'p Prepared,
     fleet: &FleetSpec,
@@ -140,11 +140,7 @@ fn build_driver<'p>(
         p.opts,
         p.plan.clone(),
     );
-    if p.opts.devices > 1 {
-        gpu.set_fleet_spec(
-            fleet.carve(p.opts.devices).map_err(|e| MbirError::Usage(e.to_string()))?,
-        )?;
-    }
+    gpu.set_fleet_spec(fleet.carve(p.opts.devices).map_err(|e| MbirError::Usage(e.to_string()))?)?;
     if let Some(c) = ckp {
         gpu.restore(c)?;
     }

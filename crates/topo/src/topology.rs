@@ -98,21 +98,37 @@ impl Topology {
     }
 
     /// Price the hierarchical reduce for one batch, `payload_bytes[g]`
-    /// being what global device `g` must publish.
-    pub fn allgather(&self, payload_bytes: &[u64]) -> ExchangeCost {
+    /// being what global device `g` must publish. Devices marked dead
+    /// in `live` drop out of their node's ring, and `bandwidth_factor`
+    /// scales the intra-node link (a degraded-link episode passes
+    /// `1/factor`); `None` with factor 1 is the healthy pricing, and an
+    /// all-live mask prices bitwise like `None`. Faults only reach
+    /// single-node clusters, so a multi-node reduce must be healthy.
+    pub fn allgather(
+        &self,
+        payload_bytes: &[u64],
+        live: Option<&[bool]>,
+        bandwidth_factor: f64,
+    ) -> ExchangeCost {
         let d = self.spec.devices_per_node();
         let n = self.spec.nodes;
         assert_eq!(payload_bytes.len(), n * d, "one payload per device");
+        debug_assert!(
+            n == 1 || (live.is_none_or(|m| m.iter().all(|&l| l)) && bandwidth_factor == 1.0),
+            "faults on multi-node clusters have no defined exchange"
+        );
 
         // Phase 1: per-node ring all-gather on the intra link.
         let mut intra_gather = Vec::with_capacity(n);
         let mut node_totals = Vec::with_capacity(n);
         for node in 0..n {
-            let slice = &payload_bytes[node * d..(node + 1) * d];
+            let range = node * d..(node + 1) * d;
+            let slice = &payload_bytes[range.clone()];
+            let mask = live.map(|m| &m[range]);
             node_totals.push(slice.iter().sum::<u64>());
             intra_gather.push(PhaseCost {
-                seconds: self.intra.allgather_seconds(slice),
-                bytes: self.intra.allgather_bytes(slice),
+                seconds: self.intra.allgather_seconds_among(slice, mask, bandwidth_factor),
+                bytes: self.intra.allgather_bytes_among(slice, mask),
             });
         }
 
@@ -172,7 +188,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbir_fleet::InterconnectSpec;
+    use mbir_fleet::{FleetSpec, InterconnectSpec};
 
     fn payloads(cluster: &ClusterSpec, each: u64) -> Vec<u64> {
         vec![each; cluster.total_devices()]
@@ -182,7 +198,7 @@ mod tests {
     fn single_node_degenerates_to_the_flat_intra_ring() {
         let topo = Topology::new(ClusterSpec::titan_x_cluster(1, 8));
         let p = payloads(topo.spec(), 50_000);
-        let hier = topo.allgather(&p);
+        let hier = topo.allgather(&p, None, 1.0);
         let flat = topo.flat_allgather(&p);
         assert_eq!(hier.seconds, flat.seconds, "one node: gather IS the flat ring");
         assert_eq!(hier.bytes, flat.bytes);
@@ -194,7 +210,7 @@ mod tests {
     fn single_device_nodes_degenerate_to_the_flat_inter_ring() {
         let topo = Topology::new(ClusterSpec::titan_x_cluster(8, 1));
         let p = payloads(topo.spec(), 50_000);
-        let hier = topo.allgather(&p);
+        let hier = topo.allgather(&p, None, 1.0);
         let flat = topo.flat_allgather(&p);
         assert_eq!(hier.seconds, flat.seconds, "1 device/node: leaders ARE the ring");
         assert_eq!(hier.bytes, flat.bytes);
@@ -209,7 +225,7 @@ mod tests {
         for (nodes, dpn) in [(2, 8), (4, 8), (8, 8), (4, 4), (2, 2)] {
             let topo = Topology::new(ClusterSpec::titan_x_cluster(nodes, dpn));
             let p = payloads(topo.spec(), 50_000);
-            let hier = topo.allgather(&p);
+            let hier = topo.allgather(&p, None, 1.0);
             let flat = topo.flat_allgather(&p);
             assert!(
                 hier.seconds < flat.seconds,
@@ -224,7 +240,7 @@ mod tests {
     fn phase_spans_sum_to_the_total() {
         let topo = Topology::new(ClusterSpec::titan_x_cluster(4, 4));
         let p: Vec<u64> = (0..16).map(|g| 10_000 + 1_000 * g).collect();
-        let cost = topo.allgather(&p);
+        let cost = topo.allgather(&p, None, 1.0);
         let sum = cost.gather_span() + cost.inter_exchange.seconds + cost.broadcast_span();
         assert_eq!(cost.seconds, sum);
         let bytes: u64 = cost.intra_gather.iter().map(|x| x.bytes).sum::<u64>()
@@ -240,7 +256,7 @@ mod tests {
         // pushes node aggregates across n-1.
         let topo = Topology::new(ClusterSpec::titan_x_cluster(8, 8));
         let p = payloads(topo.spec(), 65_536);
-        let hier = topo.allgather(&p);
+        let hier = topo.allgather(&p, None, 1.0);
         let flat = topo.flat_allgather(&p);
         assert!(hier.inter_exchange.bytes < flat.bytes);
     }
@@ -250,7 +266,7 @@ mod tests {
         // All payloads on node 0: the other nodes receive everything,
         // node 0's own broadcast covers only foreign bytes — zero.
         let topo = Topology::new(ClusterSpec::titan_x_cluster(2, 2));
-        let cost = topo.allgather(&[1 << 20, 1 << 20, 0, 0]);
+        let cost = topo.allgather(&[1 << 20, 1 << 20, 0, 0], None, 1.0);
         assert_eq!(cost.intra_broadcast[0], PhaseCost::default());
         assert!(cost.intra_broadcast[1].seconds > 0.0);
     }
@@ -258,7 +274,7 @@ mod tests {
     #[test]
     fn per_node_gather_is_priced_on_each_nodes_own_payloads() {
         let topo = Topology::new(ClusterSpec::titan_x_cluster(2, 2));
-        let cost = topo.allgather(&[1 << 22, 1 << 22, 16, 16]);
+        let cost = topo.allgather(&[1 << 22, 1 << 22, 16, 16], None, 1.0);
         assert!(cost.intra_gather[0].seconds > cost.intra_gather[1].seconds);
         assert_eq!(cost.gather_span(), cost.intra_gather[0].seconds);
     }
@@ -273,9 +289,76 @@ mod tests {
         spec.node.fleet.interconnect =
             InterconnectSpec { name: "slow intra".into(), link_gbps: 1.0, latency_us: 50.0 };
         let topo = Topology::new(spec);
-        let cost = topo.allgather(&[1 << 20; 4]);
-        let fast_intra = Topology::new(ClusterSpec::titan_x_cluster(2, 2)).allgather(&[1 << 20; 4]);
+        let cost = topo.allgather(&[1 << 20; 4], None, 1.0);
+        let fast_intra =
+            Topology::new(ClusterSpec::titan_x_cluster(2, 2)).allgather(&[1 << 20; 4], None, 1.0);
         assert!(cost.gather_span() > fast_intra.gather_span());
         assert_eq!(cost.inter_exchange, fast_intra.inter_exchange);
+    }
+
+    fn flat(spec: FleetSpec) -> Topology {
+        Topology::new(ClusterSpec::single_node(spec))
+    }
+
+    #[test]
+    fn single_device_exchanges_nothing() {
+        let cost = flat(FleetSpec::titan_x_pcie(1)).allgather(&[1 << 20], None, 1.0);
+        assert_eq!(cost.seconds, 0.0);
+        assert_eq!(cost.bytes, 0);
+        assert!(cost.intra_gather.iter().all(|p| p.bytes == 0));
+    }
+
+    #[test]
+    fn single_node_prices_the_fleets_own_ring_bitwise() {
+        // A flat fleet is a one-node cluster: its exchange is the ring
+        // over the fleet's link, and no other phase costs anything.
+        let spec = FleetSpec::titan_x_pcie(4);
+        let ring = Interconnect::new(spec.interconnect.clone());
+        let p = [1u64 << 20, 1 << 19, 1 << 18, 3];
+        let cost = flat(spec).allgather(&p, None, 1.0);
+        assert_eq!(cost.seconds.to_bits(), ring.allgather_seconds(&p).to_bits());
+        assert_eq!(cost.bytes, ring.allgather_bytes(&p));
+        assert_eq!(cost.inter_exchange, PhaseCost::default());
+        assert_eq!(cost.broadcast_span(), 0.0);
+    }
+
+    #[test]
+    fn zero_payloads_still_pay_the_ring_latency() {
+        let cost = flat(FleetSpec::titan_x_pcie(2)).allgather(&[0, 0], None, 1.0);
+        assert!(cost.seconds > 0.0);
+        assert_eq!(cost.bytes, 0);
+    }
+
+    #[test]
+    fn all_live_mask_prices_bitwise_like_no_mask() {
+        let topo = flat(FleetSpec::titan_x_pcie(3));
+        let p = [1u64 << 20, 1 << 19, 1 << 18];
+        assert_eq!(
+            topo.allgather(&p, Some(&[true, true, true]), 1.0),
+            topo.allgather(&p, None, 1.0)
+        );
+    }
+
+    #[test]
+    fn dead_device_leaves_the_exchange_ring() {
+        let topo = flat(FleetSpec::titan_x_pcie(3));
+        let p = [1u64 << 20, 1 << 20, 1 << 20];
+        let healthy = topo.allgather(&p, None, 1.0);
+        let faulty = topo.allgather(&p, Some(&[true, true, false]), 1.0);
+        assert!(faulty.seconds < healthy.seconds, "smaller ring, fewer steps");
+        assert!(faulty.bytes < healthy.bytes);
+        // One survivor exchanges nothing.
+        let lone = topo.allgather(&p, Some(&[true, false, false]), 1.0);
+        assert_eq!((lone.seconds, lone.bytes), (0.0, 0));
+    }
+
+    #[test]
+    fn degraded_link_stretches_seconds_not_bytes() {
+        let topo = flat(FleetSpec::titan_x_pcie(2));
+        let p = [1u64 << 22, 1 << 22];
+        let nominal = topo.allgather(&p, None, 1.0);
+        let degraded = topo.allgather(&p, None, 0.5);
+        assert!(degraded.seconds > nominal.seconds);
+        assert_eq!(degraded.bytes, nominal.bytes, "bytes moved are bytes moved");
     }
 }

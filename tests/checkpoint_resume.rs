@@ -2,9 +2,9 @@
 //! interrupted at ANY iteration boundary and resumed from its saved
 //! checkpoint must produce an image, error sinogram, work counters,
 //! and modeled timeline bitwise identical to the run that was never
-//! interrupted — on the single-device path, on the fleet path, and on
-//! the fleet path with a fault schedule mid-flight (failure before,
-//! at, and after the interruption point).
+//! interrupted — on a single device, on a fleet, and on a fleet with
+//! a fault schedule mid-flight (failure before, at, and after the
+//! interruption point).
 
 use ct_core::fbp;
 use ct_core::geometry::Geometry;
@@ -138,6 +138,22 @@ fn faulted_fleet_resume_is_bitwise_identical_at_every_boundary() {
     let s = setup();
     let faults = "fail:1@2,slow:0@0..4x2,link:1..6x1.5,backoff:0.25";
     assert_resume_invisible(&s, opts(4), Some(faults), 5, "faulted");
+}
+
+#[test]
+fn single_device_checkpoint_does_not_depend_on_profiling() {
+    // The batch sequence advances on every batch whether or not a
+    // profile sink is installed, so the checkpointed state is the same
+    // bytes either way.
+    let s = setup();
+    let bytes = |profile: bool| {
+        let mut g = driver(&s, GpuOptions { profile, ..opts(1) });
+        for _ in 0..3 {
+            g.iteration();
+        }
+        g.checkpoint().to_bytes()
+    };
+    assert!(bytes(false) == bytes(true), "profiling changed the 1-device checkpoint");
 }
 
 #[test]

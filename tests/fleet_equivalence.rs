@@ -2,10 +2,12 @@
 //! across simulated devices must leave every functional result — the
 //! image, the error sinogram, the work counters — bitwise identical to
 //! the single-device driver, at any device count and any host thread
-//! count. `devices = 1` must be indistinguishable from the plain
-//! driver in modeled seconds too (it bypasses the fleet path), and a
-//! profiled multi-device run must produce one deterministic merged
-//! report that validates against the checked-in schema.
+//! count. A one-device fleet or cluster spec must be indistinguishable
+//! from the plain driver in modeled seconds and the per-kernel ledger
+//! too (a single device prices through the same batch schedule, with
+//! every exchange phase zero), and a profiled multi-device run must
+//! produce one deterministic merged report that validates against the
+//! checked-in schema.
 
 use ct_core::fbp;
 use ct_core::geometry::Geometry;
@@ -19,6 +21,7 @@ use mbir::prior::QggmrfPrior;
 use mbir::sequential::golden_image;
 use mbir_fleet::FleetSpec;
 use mbir_telemetry::json;
+use mbir_topo::ClusterSpec;
 
 struct Setup {
     a: SystemMatrix,
@@ -69,15 +72,24 @@ fn run(s: &Setup, o: GpuOptions) -> RunResult {
 
 #[test]
 fn one_device_is_bitwise_identical_to_plain_driver() {
-    // The acceptance regression: `--devices 1` must match the existing
-    // single-device GpuIcd path in images AND modeled seconds, bit for
-    // bit (it takes exactly the same code path — no fleet state).
+    // A single device is a one-device fleet and a one-device cluster:
+    // installing either spec must leave the plain driver's image,
+    // error sinogram, modeled seconds and per-kernel ledger untouched,
+    // bit for bit.
     let s = setup();
-    let plain = run(&s, GpuOptions { devices: 1, ..opts(1) });
-    let one = run(&s, opts(1));
-    assert_eq!(plain.image, one.image);
-    assert_eq!(plain.error, one.error);
-    assert_eq!(plain.modeled_seconds.to_bits(), one.modeled_seconds.to_bits());
+    let run = |install: &dyn Fn(&mut GpuIcd<'_, QggmrfPrior>)| {
+        let mut gpu =
+            GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), opts(1));
+        install(&mut gpu);
+        gpu.run_to_rmse(&s.golden, 10.0, 40);
+        (gpu.image().clone(), gpu.error().clone(), gpu.modeled_seconds().to_bits(), gpu.run_stats())
+    };
+    let plain = run(&|_| {});
+    let fleet = run(&|g| g.set_fleet_spec(FleetSpec::titan_x_pcie(1)).expect("1-device fleet"));
+    let cluster =
+        run(&|g| g.set_cluster_spec(ClusterSpec::titan_x_cluster(1, 1)).expect("1-device cluster"));
+    assert!(plain == fleet, "a 1-device fleet spec changed the run");
+    assert!(plain == cluster, "a 1-device cluster spec changed the run");
 }
 
 #[test]

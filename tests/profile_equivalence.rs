@@ -2,7 +2,8 @@
 //! is bitwise identical to an unprofiled one, for both drivers. On top
 //! of that, a profiled GPU-ICD run has to emit a well-formed report —
 //! valid against `schemas/profile.schema.json`, with nonzero counters
-//! for every kernel class — and a parseable Chrome trace.
+//! for every kernel class — and a parseable Chrome trace. Its exchange
+//! lane accounts for every byte and second the fleet ledger books.
 
 use ct_core::fbp;
 use ct_core::geometry::Geometry;
@@ -12,7 +13,9 @@ use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::golden_image;
+use mbir_fleet::FaultSpec;
 use mbir_telemetry::{chrome_trace, json, ProfileReport};
+use mbir_topo::ClusterSpec;
 use psv_icd::{PsvConfig, PsvIcd};
 use serde::json::Value;
 
@@ -198,4 +201,47 @@ fn external_sink_sees_the_same_events() {
     gpu2.run_to_rmse(&s.golden, 10.0, 40);
     assert_eq!(gpu2.image(), &img_plain);
     assert_eq!(gpu2.modeled_seconds().to_bits(), secs_plain.to_bits());
+}
+
+#[test]
+fn exchange_lane_reconciles_with_the_fleet_ledger() {
+    let s = setup();
+    let shapes = [
+        ("flat", None, None),
+        ("faulted", Some("fail:1@3"), None),
+        ("cluster", None, Some(ClusterSpec::titan_x_cluster(2, 2).with_slabs(2))),
+    ];
+    for (tag, faults, cluster) in shapes {
+        let o = GpuOptions { devices: 4, ..gpu_opts(true) };
+        let mut gpu = GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), o);
+        if let Some(c) = cluster {
+            gpu.set_cluster_spec(c).expect("cluster");
+        }
+        if let Some(f) = faults {
+            gpu.set_fault_spec(FaultSpec::parse(f, 4).expect("schedule")).expect("faults");
+        }
+        for _ in 0..4 {
+            gpu.iteration();
+        }
+        let fr = gpu.fleet_report().expect("fleet run");
+        let report = gpu.recording().expect("profile on").report("gpu-icd");
+        assert!(fr.exchange_bytes > 0, "{tag}: nothing exchanged");
+        let bytes: u64 = report.exchanges.iter().map(|e| e.bytes).sum();
+        assert_eq!(bytes, fr.exchange_bytes, "{tag}: exchange lane bytes vs ledger");
+
+        // Records of one phase run concurrently (one per node or
+        // device), so a phase spans its longest record; the phases of
+        // a batch run back to back.
+        let mut longest = std::collections::BTreeMap::<(u64, &str), f64>::new();
+        for e in &report.exchanges {
+            let span = longest.entry((e.batch, e.phase.as_str())).or_insert(0.0);
+            *span = span.max(e.duration_seconds);
+        }
+        let seconds: f64 = longest.values().sum();
+        assert!(
+            (seconds - fr.exchange_seconds).abs() <= 1e-9 * fr.exchange_seconds,
+            "{tag}: exchange lane {seconds} s vs ledger {} s",
+            fr.exchange_seconds
+        );
+    }
 }

@@ -6,8 +6,9 @@
 //! (nodes, devices-per-node, slabs) shape. Degenerate shapes must
 //! collapse onto the flat fleet timeline exactly, a profiled cluster
 //! run must emit a deterministic schema-v6 report with the exchange
-//! lane populated, and the guards (faults, checkpoint restore) must
-//! hold.
+//! lane populated, faults and checkpoint restore must compose with the
+//! shapes the schedule carries (one node and one slab for faults, one
+//! slab for restore), and the guards must refuse the rest.
 
 use ct_core::fbp;
 use ct_core::geometry::Geometry;
@@ -115,6 +116,63 @@ fn degenerate_single_node_cluster_matches_the_flat_fleet_timeline() {
         flat.1,
         hier.modeled_seconds
     );
+}
+
+#[test]
+fn single_slab_cluster_resume_is_bitwise_identical() {
+    // A 2x2 cluster with one slab carries no residency state, so a
+    // checkpoint taken at iteration 2 resumes onto a fresh cluster
+    // driver and finishes exactly as the uninterrupted run.
+    let s = setup();
+    let make = || {
+        let mut gpu =
+            GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), opts(4));
+        gpu.set_cluster_spec(ClusterSpec::titan_x_cluster(2, 2)).expect("cluster");
+        gpu
+    };
+    let mut full = make();
+    for _ in 0..5 {
+        full.iteration();
+    }
+    let mut first = make();
+    for _ in 0..2 {
+        first.iteration();
+    }
+    let ckp = first.checkpoint();
+    let mut resumed = make();
+    resumed.restore(&ckp).expect("single-slab cluster restores");
+    for _ in 2..5 {
+        resumed.iteration();
+    }
+    assert_eq!(full.image(), resumed.image());
+    assert_eq!(full.error(), resumed.error());
+    assert_eq!(full.modeled_seconds().to_bits(), resumed.modeled_seconds().to_bits());
+}
+
+#[test]
+fn faults_on_a_single_node_cluster_match_its_flattened_fleet() {
+    // One node, one slab: the cluster is its flattened fleet, with or
+    // without a failure mid-run.
+    let s = setup();
+    let cluster = ClusterSpec::titan_x_cluster(1, 4);
+    let run = |as_cluster: bool| {
+        let mut gpu =
+            GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), opts(4));
+        if as_cluster {
+            gpu.set_cluster_spec(cluster.clone()).expect("cluster");
+        } else {
+            gpu.set_fleet_spec(cluster.flatten()).expect("flattened fleet");
+        }
+        let faults = mbir_fleet::FaultSpec::parse("fail:1@3", 4).expect("schedule");
+        gpu.set_fault_spec(faults).expect("faults on one node and one slab");
+        gpu.run_to_rmse(&s.golden, 10.0, 40);
+        (gpu.image().clone(), gpu.modeled_seconds().to_bits(), gpu.fleet_report())
+    };
+    let (flat, hier) = (run(false), run(true));
+    assert_eq!(flat.0, hier.0);
+    assert_eq!(flat.1, hier.1, "faulted 1-node timeline must equal the flat fleet's");
+    assert_eq!(flat.2, hier.2);
+    assert_eq!(hier.2.expect("fleet run").faults, 1);
 }
 
 #[test]
