@@ -37,26 +37,20 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::Arc;
 use supervoxel::checkerboard::checkerboard_groups;
-use supervoxel::chunks::chunk_column;
 use supervoxel::plan::{PlanConfig, SvPlan, SvPlanSet, VoxelPlan};
-use supervoxel::quant::QuantizedColumn;
 use supervoxel::selection::{select_svs, Selection};
 use supervoxel::svb::Svb;
 use supervoxel::tiling::Tiling;
 use supervoxel::LaneTables;
 
-/// The [`PlanConfig`] implied by a set of GPU options.
-///
-/// With `plan_cache` on, the plan carries everything iterations reuse
-/// (chunk tallies, quantized columns). With it off, the plan degrades
-/// to the band shapes alone, so the uncached baseline pays no plan
-/// build cost beyond what the old driver already did at setup.
+/// The [`PlanConfig`] implied by a set of GPU options: the plan
+/// carries everything iterations reuse (band shapes, chunk tallies,
+/// quantized columns).
 pub fn plan_config(opts: &GpuOptions) -> PlanConfig {
-    let layout = opts.svb_layout();
-    if opts.plan_cache {
-        PlanConfig { chunk_width: opts.chunk_width(), quant_bits: opts.quant_bits(), layout }
-    } else {
-        PlanConfig { chunk_width: None, quant_bits: None, layout }
+    PlanConfig {
+        chunk_width: opts.chunk_width(),
+        quant_bits: opts.quant_bits(),
+        layout: opts.svb_layout(),
     }
 }
 
@@ -238,8 +232,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         // the lane backend (bitwise-neutral; the scalar backend keeps
         // the canonical per-element walk as the honest baseline).
         let lane_tables = if mbir_simd::resolve(opts.simd) == mbir_simd::SimdBackend::Lanes {
-            let (bits, layout) = (opts.quant_bits(), opts.svb_layout());
-            LaneTables::build_for_plan(a, weights, bits, &plan, layout, opts.threads)
+            LaneTables::build_for_plan(a, weights, &plan, opts.threads)
         } else {
             Vec::new()
         };
@@ -1043,10 +1036,8 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
 /// (free function so the driver can split its field borrows; takes the
 /// shared image view so batch SVs can run on worker threads).
 ///
-/// When `opts.plan_cache` is on, every iteration-invariant quantity
-/// (chunk tallies, quantized columns, band geometry) comes from the
-/// [`SvPlan`]; otherwise it is recomputed per visit exactly as the
-/// pre-cache driver did. Both paths are bitwise identical.
+/// Every iteration-invariant quantity (chunk tallies, quantized
+/// columns, band geometry) comes from the [`SvPlan`].
 #[allow(clippy::too_many_arguments)]
 fn update_sv<P: Prior>(
     a: &SystemMatrix,
@@ -1074,13 +1065,9 @@ fn update_sv<P: Prior>(
     );
     order.shuffle(&mut rng);
 
-    let cached = opts.plan_cache;
-    let chunk_width = opts.chunk_width();
-    let quantized = opts.quant_bits();
     // Resolve the lane-kernel backend once per SV (the env fallback is
     // not free) and hand the concrete choice to every voxel visit.
     let simd = mbir_simd::resolve(opts.simd);
-    let nviews = plan.shape.num_views();
 
     let mut t = SvTally {
         sv,
@@ -1117,7 +1104,7 @@ fn update_sv<P: Prior>(
             let vp = &vox[oi as usize];
             image.set(vp.voxel, image.get(vp.voxel) + delta);
             let tables = if lanes { lane_tables.get(oi as usize) } else { None };
-            apply_delta_quant(a, vp, svb, delta, quantized, cached, tables, simd);
+            apply_delta_quant(a, vp, svb, delta, tables, simd);
         }
     };
     for (pos, &oi) in order.iter().enumerate() {
@@ -1133,24 +1120,12 @@ fn update_sv<P: Prior>(
         }
         let col = a.column(j);
         let tables = if lanes { lane_tables.get(oi as usize) } else { None };
-        let delta =
-            compute_delta(image, prior, opts, vp, &col, svb, quantized, cached, tables, simd);
+        let delta = compute_delta(image, prior, opts, vp, &col, svb, tables, simd);
         t.updates += 1;
         t.abs_delta += delta.abs() as f64;
         t.nnz += vp.nnz as f64;
-        if cached {
-            // Integer tallies are exact in f64, so the cached sums are
-            // bitwise what the per-visit recomputation accumulates.
-            t.dense += vp.dense as f64;
-            t.descriptors += vp.descriptors as f64;
-        } else if let Some(w) = chunk_width {
-            let chunks = chunk_column(&col, w);
-            t.dense += chunks.iter().map(|c| c.len() as f64).sum::<f64>();
-            t.descriptors += chunks.len() as f64;
-        } else {
-            t.dense += col.nnz() as f64;
-            t.descriptors += nviews as f64;
-        }
+        t.dense += vp.dense as f64;
+        t.descriptors += vp.descriptors as f64;
         static_updates[(pos / range_len.max(1)).min(rounds - 1)] += 1;
         fifo.push_back((oi, delta));
     }
@@ -1177,24 +1152,14 @@ fn compute_delta<P: Prior>(
     vp: &VoxelPlan,
     col: &ColumnView<'_>,
     svb: &Svb<'_>,
-    quantized: Option<u32>,
-    cached: bool,
     tables: Option<&LaneTables>,
     simd: mbir_simd::SimdBackend,
 ) -> f32 {
     // The lane backend's fast path: the folded `w*a` tables built at
-    // driver setup (bitwise-equal to the walks below by construction;
-    // orthogonal to `cached`, which covers the plan's quantized codes).
+    // driver setup (bitwise-equal to the walks below by construction).
     let th = if let Some(t) = tables {
         svb.thetas_tabled(t)
-    } else if let Some(bits) = quantized {
-        let fresh;
-        let q = if cached {
-            vp.quant.as_ref().expect("plan caches quantized columns")
-        } else {
-            fresh = QuantizedColumn::quantize_bits(col, bits);
-            &fresh
-        };
+    } else if let Some(q) = &vp.quant {
         svb.thetas_quant(col, q, simd)
     } else {
         svb.thetas(col, simd)
@@ -1216,14 +1181,11 @@ fn compute_delta<P: Prior>(
 /// hardware), with the same quantized A used for the thetas. Dispatches
 /// on the already-resolved `simd` backend; the update is element-wise,
 /// so every backend performs identical ops.
-#[allow(clippy::too_many_arguments)]
 fn apply_delta_quant(
     a: &SystemMatrix,
     vp: &VoxelPlan,
     svb: &mut Svb<'_>,
     delta: f32,
-    quantized: Option<u32>,
-    cached: bool,
     tables: Option<&LaneTables>,
     simd: mbir_simd::SimdBackend,
 ) {
@@ -1236,14 +1198,7 @@ fn apply_delta_quant(
         return;
     }
     let col = a.column(vp.voxel);
-    if let Some(bits) = quantized {
-        let fresh;
-        let q = if cached {
-            vp.quant.as_ref().expect("plan caches quantized columns")
-        } else {
-            fresh = QuantizedColumn::quantize_bits(&col, bits);
-            &fresh
-        };
+    if let Some(q) = &vp.quant {
         svb.apply_quant_delta(&col, q, delta, simd);
     } else {
         svb.apply_col_delta(&col, delta, simd);

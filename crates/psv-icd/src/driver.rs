@@ -30,11 +30,6 @@ pub struct PsvConfig {
     /// *modeled* platform is [`CpuModel`]'s 16 cores). `0` defers to
     /// the process-wide setting (`mbir_parallel::threads()`).
     pub threads: usize,
-    /// Read iteration-invariant per-SV state (voxel lists, entry
-    /// counts) from the plan built at setup instead of re-deriving it
-    /// per visit. Purely a wall-clock toggle — results are bitwise
-    /// identical either way.
-    pub plan_cache: bool,
     /// Stream-selector seed for the per-iteration SV-selection RNG.
     /// Each iteration draws from
     /// `StdRng::seed_from_u64(icd.seed ^ (selection_seed ^ iter) * GOLDEN)`
@@ -61,7 +56,6 @@ impl Default for PsvConfig {
             sv_side: 13,
             fraction: 0.20,
             threads: 0,
-            plan_cache: true,
             selection_seed: 0xc0ffee,
             profile: false,
             simd: mbir_simd::SimdBackend::Auto,
@@ -171,14 +165,7 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         // the lane backend (bitwise-neutral; PSV runs f32 columns in
         // sensor-major buffers).
         let lane_tables = if mbir_simd::resolve(config.simd) == mbir_simd::SimdBackend::Lanes {
-            supervoxel::LaneTables::build_for_plan(
-                a,
-                weights,
-                None,
-                &plan,
-                SvbLayout::SensorMajor,
-                config.threads,
-            )
+            supervoxel::LaneTables::build_for_plan(a, weights, &plan, config.threads)
         } else {
             Vec::new()
         };
@@ -278,7 +265,6 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
             let prior = self.prior;
             let seed = self.config.icd.seed;
             let iter = self.iter;
-            let cached = self.config.plan_cache;
             let randomize = self.config.icd.randomize;
             let positivity = self.config.icd.positivity;
             // Resolve the lane-kernel backend once per group (the env
@@ -317,9 +303,7 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
                         );
                         visit.updates += 1;
                         visit.abs_delta += delta.abs() as f64;
-                        // Entry counts are integers, exact in f64: the
-                        // cached tally is bitwise the fresh one.
-                        visit.entries += if cached { vp.nnz as f64 } else { col.nnz() as f64 };
+                        visit.entries += vp.nnz as f64;
                     }
                     (svb, visit)
                 });

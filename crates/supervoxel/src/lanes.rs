@@ -92,9 +92,10 @@ impl LaneTables {
 
     /// Fold every voxel of a plan set's tiling, in parallel on
     /// `threads` workers (0 = all; deterministic — per-SV folds are
-    /// independent and `par_map` preserves SV order). `quant_bits`
-    /// mirrors the driver's A-matrix mode; `layout` must match the
-    /// layout the driver gathers SVBs with.
+    /// independent and `par_map` preserves SV order). Quantization
+    /// comes from each voxel plan's `quant` and the band offsets from
+    /// the plan's layout, so the fold reads A exactly as the driver's
+    /// per-visit walk does.
     ///
     /// Indexed `[sv][vi]` with `vi` the voxel's position in
     /// `plan.plan(sv).voxels()` — NOT by linear voxel id: adjacent SVs
@@ -104,29 +105,17 @@ impl LaneTables {
     pub fn build_for_plan(
         a: &SystemMatrix,
         w: &Sinogram,
-        quant_bits: Option<u32>,
         plan: &SvPlanSet,
-        layout: SvbLayout,
         threads: usize,
     ) -> Vec<Vec<LaneTables>> {
+        let layout = plan.config().layout;
         mbir_parallel::par_map(threads, plan.plans().len(), |sv| {
             let sp = plan.plan(sv);
             sp.voxels()
                 .iter()
                 .map(|vp| {
                     let col = a.column(vp.voxel);
-                    let fresh;
-                    let quant = match quant_bits {
-                        Some(bits) => Some(match &vp.quant {
-                            Some(q) => q,
-                            None => {
-                                fresh = QuantizedColumn::quantize_bits(&col, bits);
-                                &fresh
-                            }
-                        }),
-                        None => None,
-                    };
-                    LaneTables::build(&col, quant, w, &sp.shape, layout)
+                    LaneTables::build(&col, vp.quant.as_ref(), w, &sp.shape, layout)
                 })
                 .collect()
         })
@@ -186,7 +175,7 @@ mod tests {
         let (_, a, t, y, w) = setup();
         let layout = SvbLayout::Transposed;
         let plan = plan_for(&a, &t, None, layout);
-        let tables = LaneTables::build_for_plan(&a, &w, None, &plan, layout, 1);
+        let tables = LaneTables::build_for_plan(&a, &w, &plan, 1);
         for (sv, sv_tables) in tables.iter().enumerate() {
             let svb = Svb::gather(&plan.plan(sv).shape, layout, &y, &w);
             for (vi, j) in t.voxels(sv).enumerate() {
@@ -204,7 +193,7 @@ mod tests {
         let (_, a, t, y, w) = setup();
         let layout = SvbLayout::SensorMajor;
         let plan = plan_for(&a, &t, Some(8), layout);
-        let tables = LaneTables::build_for_plan(&a, &w, Some(8), &plan, layout, 1);
+        let tables = LaneTables::build_for_plan(&a, &w, &plan, 1);
         let sv = t.len() / 2;
         let mut svb = Svb::gather(&plan.plan(sv).shape, layout, &y, &w);
         let mut svb_ref = svb.clone();
@@ -229,8 +218,8 @@ mod tests {
         let (_, a, t, _, w) = setup();
         let layout = SvbLayout::Transposed;
         let plan = plan_for(&a, &t, Some(8), layout);
-        let t1 = LaneTables::build_for_plan(&a, &w, Some(8), &plan, layout, 1);
-        let t4 = LaneTables::build_for_plan(&a, &w, Some(8), &plan, layout, 4);
+        let t1 = LaneTables::build_for_plan(&a, &w, &plan, 1);
+        let t4 = LaneTables::build_for_plan(&a, &w, &plan, 4);
         assert_eq!(t1.len(), t4.len());
         for (sv1, sv4) in t1.iter().zip(&t4) {
             assert_eq!(sv1.len(), sv4.len());

@@ -10,10 +10,10 @@
 //! `mbir-parallel` engine) and is then shared by reference across
 //! iterations by both the GPU-ICD and PSV-ICD drivers.
 //!
-//! A plan is purely a cache: every cached quantity is byte-for-byte
-//! what the per-visit recomputation would produce, so cached and
-//! uncached runs are bitwise identical (enforced by the
-//! `plan_cache_equivalence` regression test).
+//! The plan is the only source of this state: the drivers never
+//! re-chunk or re-quantize a column during iterations. Every cached
+//! quantity is byte-for-byte what a per-visit recomputation would
+//! produce (pinned by `cached_tallies_match_fresh_recomputation`).
 
 use crate::chunks::chunk_column;
 use crate::quant::QuantizedColumn;
@@ -214,27 +214,45 @@ mod tests {
 
     #[test]
     fn cached_tallies_match_fresh_recomputation() {
-        let (_, a, t) = setup();
-        let config = chunked_config();
-        let set = SvPlanSet::build(&a, &t, config, 1);
-        for sv in [0usize, t.len() / 2, t.len() - 1] {
-            let plan = set.plan(sv);
-            let fresh_shape = SvbShape::compute(&a, &t, sv);
-            assert_eq!(plan.shape.first, fresh_shape.first);
-            assert_eq!(plan.shape.width, fresh_shape.width);
-            assert_eq!(plan.svb_bytes, fresh_shape.bytes(config.layout) as f64);
-            for (vp, j) in plan.voxels().iter().zip(t.voxels(sv)) {
-                assert_eq!(vp.voxel, j);
-                let col = a.column(j);
-                assert_eq!(vp.nnz as usize, col.nnz());
-                let chunks = chunk_column(&col, 16);
-                assert_eq!(vp.dense, chunks.iter().map(|c| c.len() as u64).sum::<u64>());
-                assert_eq!(vp.descriptors as usize, chunks.len());
-                assert_eq!(vp.norm_sq, a.column_norm_sq(j));
-                let q = vp.quant.as_ref().expect("quantized plan");
-                let fresh_q = QuantizedColumn::quantize_bits(&col, 8);
-                assert_eq!(q.scale, fresh_q.scale);
-                assert_eq!(q.codes, fresh_q.codes);
+        // The drivers read every column's tallies and quantized codes
+        // from the plan; this is the reference for what a per-visit
+        // recomputation would produce, for every plan shape they use.
+        let (g, a, t) = setup();
+        for (chunk_width, layout) in
+            [(Some(16), SvbLayout::Transposed), (None, SvbLayout::SensorMajor)]
+        {
+            for quant_bits in [Some(8), None] {
+                let config = PlanConfig { chunk_width, quant_bits, layout };
+                let set = SvPlanSet::build(&a, &t, config, 1);
+                for sv in 0..t.len() {
+                    let plan = set.plan(sv);
+                    let fresh_shape = SvbShape::compute(&a, &t, sv);
+                    assert_eq!(plan.shape.first, fresh_shape.first);
+                    assert_eq!(plan.shape.width, fresh_shape.width);
+                    assert_eq!(plan.svb_bytes, fresh_shape.bytes(config.layout) as f64);
+                    assert_eq!(plan.row_tx.is_some(), config.chunk_width.is_some(), "{config:?}");
+                    for (vp, j) in plan.voxels().iter().zip(t.voxels(sv)) {
+                        assert_eq!(vp.voxel, j);
+                        let col = a.column(j);
+                        assert_eq!(vp.nnz as usize, col.nnz());
+                        let (dense, descriptors) = match chunk_width {
+                            Some(w) => {
+                                let chunks = chunk_column(&col, w);
+                                (chunks.iter().map(|c| c.len() as u64).sum(), chunks.len())
+                            }
+                            None => (col.nnz() as u64, g.num_views),
+                        };
+                        assert_eq!(vp.dense, dense, "{config:?} voxel {j}");
+                        assert_eq!(vp.descriptors as usize, descriptors, "{config:?} voxel {j}");
+                        assert_eq!(vp.norm_sq, a.column_norm_sq(j));
+                        assert_eq!(vp.quant.is_some(), config.quant_bits.is_some(), "{config:?}");
+                        if let (Some(q), Some(bits)) = (&vp.quant, quant_bits) {
+                            let fresh_q = QuantizedColumn::quantize_bits(&col, bits);
+                            assert_eq!(q.scale, fresh_q.scale);
+                            assert_eq!(q.codes, fresh_q.codes);
+                        }
+                    }
+                }
             }
         }
     }

@@ -422,7 +422,6 @@ fn checked_in_result_files_are_structurally_valid() {
         "BENCH_fault_tolerance.json",
         "BENCH_host_parallel.json",
         "BENCH_multi_gpu.json",
-        "BENCH_plan_cache.json",
         "BENCH_serve.json",
         "BENCH_simd.json",
     ] {

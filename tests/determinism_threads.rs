@@ -11,7 +11,7 @@ use ct_core::geometry::Geometry;
 use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel, Scan};
 use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{GpuIcd, GpuIterationReport, GpuOptions};
+use gpu_icd::{AMatrixMode, GpuIcd, GpuIterationReport, GpuOptions, Layout};
 use mbir::prior::QggmrfPrior;
 use psv_icd::{PsvConfig, PsvIcd};
 
@@ -32,18 +32,17 @@ fn setup() -> Setup {
     Setup { a, scan: s, prior, init }
 }
 
+fn small_opts() -> GpuOptions {
+    GpuOptions { sv_side: 6, threadblocks_per_sv: 4, svs_per_batch: 4, ..Default::default() }
+}
+
 fn run_gpu(
     s: &Setup,
+    base: GpuOptions,
     threads: usize,
     iters: usize,
 ) -> (GpuIcd<'_, QggmrfPrior>, Vec<GpuIterationReport>) {
-    let opts = GpuOptions {
-        sv_side: 6,
-        threadblocks_per_sv: 4,
-        svs_per_batch: 4,
-        threads,
-        ..Default::default()
-    };
+    let opts = GpuOptions { threads, ..base };
     let mut gpu = GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), opts);
     let reports = (0..iters).map(|_| gpu.iteration()).collect();
     (gpu, reports)
@@ -52,25 +51,41 @@ fn run_gpu(
 #[test]
 fn gpu_driver_is_bitwise_identical_across_thread_counts() {
     let s = setup();
-    let (gpu1, reports1) = run_gpu(&s, 1, 6);
-    for threads in [2usize, 8] {
-        let (gpun, reportsn) = run_gpu(&s, threads, 6);
-        assert_eq!(gpu1.image(), gpun.image(), "image differs at {threads} threads");
-        assert_eq!(gpu1.error(), gpun.error(), "error sinogram differs at {threads} threads");
-        assert_eq!(reports1, reportsn, "iteration reports differ at {threads} threads");
-        assert_eq!(
-            gpu1.modeled_seconds(),
-            gpun.modeled_seconds(),
-            "modeled seconds differ at {threads} threads"
-        );
+    // The paper's tuned chunked+u8 path, then the two plan shapes
+    // without quantized columns or without chunk tallies.
+    let configs = [
+        ("chunked+u8", small_opts()),
+        ("chunked+f32", GpuOptions { amatrix: AMatrixMode::GlobalF32, ..small_opts() }),
+        ("naive", GpuOptions { layout: Layout::Naive, ..small_opts() }),
+    ];
+    for (label, base) in configs {
+        let (gpu1, reports1) = run_gpu(&s, base, 1, 6);
+        for threads in [2usize, 8] {
+            let (gpun, reportsn) = run_gpu(&s, base, threads, 6);
+            assert_eq!(gpu1.image(), gpun.image(), "[{label}] image differs at {threads} threads");
+            assert_eq!(
+                gpu1.error(),
+                gpun.error(),
+                "[{label}] error sinogram differs at {threads} threads"
+            );
+            assert_eq!(
+                reports1, reportsn,
+                "[{label}] iteration reports differ at {threads} threads"
+            );
+            assert_eq!(
+                gpu1.modeled_seconds(),
+                gpun.modeled_seconds(),
+                "[{label}] modeled seconds differ at {threads} threads"
+            );
+        }
     }
 }
 
 #[test]
 fn gpu_counters_and_stats_match_across_thread_counts() {
     let s = setup();
-    let (gpu1, _) = run_gpu(&s, 1, 4);
-    let (gpu8, _) = run_gpu(&s, 8, 4);
+    let (gpu1, _) = run_gpu(&s, small_opts(), 1, 4);
+    let (gpu8, _) = run_gpu(&s, small_opts(), 8, 4);
     assert_eq!(gpu1.stats(), gpu8.stats());
     assert_eq!(gpu1.equits(), gpu8.equits());
     let (r1, r8) = (gpu1.run_stats(), gpu8.run_stats());
