@@ -22,11 +22,12 @@ use crate::opts::GpuOptions;
 use crate::tally::{BatchTally, SvTally};
 use ct_core::image::{Image, SharedImage};
 use ct_core::sinogram::Sinogram;
-use ct_core::sysmat::{ColumnView, SystemMatrix};
+use ct_core::sysmat::SystemMatrix;
 use gpu_sim::timing::KernelTiming;
 use mbir::convergence::ConvergenceTrace;
 use mbir::prior::{clique_weight, Prior};
 use mbir::sequential::IcdStats;
+use mbir::update::Thetas;
 use mbir_fleet::{FaultEvent, FaultSpec, FleetReport, FleetSpec};
 use mbir_telemetry::{
     ConvergencePoint, ExchangeRecord, FaultRecord, IterationSample, ProfileSink, RecordingSink,
@@ -41,7 +42,6 @@ use supervoxel::plan::{PlanConfig, SvPlan, SvPlanSet, VoxelPlan};
 use supervoxel::selection::{select_svs, Selection};
 use supervoxel::svb::Svb;
 use supervoxel::tiling::Tiling;
-use supervoxel::LaneTables;
 
 /// The [`PlanConfig`] implied by a set of GPU options: the plan
 /// carries everything iterations reuse (band shapes, chunk tallies,
@@ -178,10 +178,9 @@ pub struct GpuIcd<'a, P: Prior> {
     opts: GpuOptions,
     tiling: Tiling,
     plan: Arc<SvPlanSet>,
-    /// Folded `w*a` tables for the lane backend, indexed `[sv][vi]` in
-    /// plan-voxel order (empty when the resolved backend is scalar);
-    /// see [`supervoxel::LaneTables`].
-    lane_tables: Vec<Vec<LaneTables>>,
+    /// Per voxel `theta2` for the lane backend's tabled walk (empty
+    /// when the resolved backend is scalar); see [`supervoxel::lanes`].
+    theta2: Vec<f32>,
     skeleton: ProfileSkeleton,
     image: Image,
     error: Sinogram,
@@ -216,6 +215,13 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// Initialize with a pre-built plan set (shared via `Arc` across
     /// drivers/runs). The plan must have been built for the same system
     /// matrix, an identical tiling, and `plan_config(&opts)`.
+    ///
+    /// The plan holds no weight-dependent state, so it may serve scans
+    /// with different weights. Besides `e = y - A init`, the driver
+    /// builds only the lane backend's per-voxel `theta2` from `weights`
+    /// (4 B per voxel; skipped when the backend resolves to scalar);
+    /// the A entries and band offsets it walks come from the plan's
+    /// [`supervoxel::LaneTables`].
     pub fn with_plan(
         a: &'a SystemMatrix,
         y: &Sinogram,
@@ -228,11 +234,11 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         let tiling = Tiling::new(init.grid(), opts.sv_side);
         assert_eq!(plan.config(), plan_config(&opts), "plan built for different options");
         assert_eq!(plan.plans().len(), tiling.len(), "plan built for different tiling");
-        // One-time fold of the iteration-invariant theta streams for
-        // the lane backend (bitwise-neutral; the scalar backend keeps
-        // the canonical per-element walk as the honest baseline).
-        let lane_tables = if mbir_simd::resolve(opts.simd) == mbir_simd::SimdBackend::Lanes {
-            LaneTables::build_for_plan(a, weights, &plan, opts.threads)
+        // The lane backend's one weight-dependent table: theta2 per
+        // voxel (bitwise-neutral; the scalar backend keeps the
+        // canonical per-element walk as the honest baseline).
+        let theta2 = if mbir_simd::resolve(opts.simd) == mbir_simd::SimdBackend::Lanes {
+            supervoxel::lanes::theta2_per_voxel(&plan, weights, opts.threads)
         } else {
             Vec::new()
         };
@@ -257,7 +263,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
             opts,
             tiling,
             plan,
-            lane_tables,
+            theta2,
             skeleton,
             image: init,
             error,
@@ -513,7 +519,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         let prior = self.prior;
         let opts = &self.opts;
         let iter = self.iter;
-        let lane_tables = &self.lane_tables[..];
+        let theta2 = &self.theta2[..];
         let workers = if opts.checkerboard { opts.threads } else { 1 };
         let shared = self.image.as_shared();
         let results: Vec<(Svb<'_>, SvTally)> = mbir_parallel::par_map(workers, batch.len(), |bi| {
@@ -525,7 +531,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 prior,
                 opts,
                 plan.plan(sv),
-                lane_tables.get(sv).map_or(&[][..], |v| &v[..]),
+                theta2,
                 iter,
                 &mut svb,
                 rounds,
@@ -1045,10 +1051,9 @@ fn update_sv<P: Prior>(
     prior: &P,
     opts: &GpuOptions,
     plan: &SvPlan,
-    // This SV's folded lane tables, in plan-voxel order (empty when the
-    // backend is scalar). Per-SV because boundary voxels shared between
-    // adjacent SVs need distinct band offsets per covering SV.
-    lane_tables: &[LaneTables],
+    // Per voxel theta2 for the plan's lane tables (empty when the
+    // driver resolved the scalar backend at construction).
+    theta2: &[f32],
     iter: u64,
     svb: &mut Svb<'_>,
     rounds: usize,
@@ -1098,13 +1103,17 @@ fn update_sv<P: Prior>(
     // extreme block-to-voxel ratios that the hardware self-limits.
     let window = (rounds / 2).clamp(1, (order.len() / 16).max(1));
     let mut fifo: std::collections::VecDeque<(u32, f32)> = std::collections::VecDeque::new();
-    let lanes = simd == mbir_simd::SimdBackend::Lanes;
+    let lanes = simd == mbir_simd::SimdBackend::Lanes && !theta2.is_empty();
     let commit = |svb: &mut Svb<'_>, oi: u32, delta: f32| {
         if delta != 0.0 {
             let vp = &vox[oi as usize];
             image.set(vp.voxel, image.get(vp.voxel) + delta);
-            let tables = if lanes { lane_tables.get(oi as usize) } else { None };
-            apply_delta_quant(a, vp, svb, delta, tables, simd);
+            if lanes {
+                let (adq, idx) = plan.lanes.voxel(oi as usize);
+                mbir_simd::sub_scaled_gather(&mut svb.e, adq, idx, delta);
+            } else {
+                apply_delta_quant(a, vp, svb, delta, simd);
+            }
         }
     };
     for (pos, &oi) in order.iter().enumerate() {
@@ -1118,9 +1127,16 @@ fn update_sv<P: Prior>(
             let (oj, d) = fifo.pop_front().expect("window >= 1");
             commit(svb, oj, d);
         }
-        let col = a.column(j);
-        let tables = if lanes { lane_tables.get(oi as usize) } else { None };
-        let delta = compute_delta(image, prior, opts, vp, &col, svb, tables, simd);
+        let th = if lanes {
+            let (adq, idx) = plan.lanes.voxel(oi as usize);
+            let theta1 = mbir_simd::theta_gather_lanes(adq, idx, &svb.e, &svb.w);
+            Thetas { theta1, theta2: theta2[j] }
+        } else if let Some(q) = &vp.quant {
+            svb.thetas_quant(&a.column(j), q, simd)
+        } else {
+            svb.thetas(&a.column(j), simd)
+        };
+        let delta = compute_delta(image, prior, opts, vp.voxel, th);
         t.updates += 1;
         t.abs_delta += delta.abs() as f64;
         t.nnz += vp.nnz as f64;
@@ -1140,36 +1156,20 @@ fn update_sv<P: Prior>(
     t
 }
 
-/// Compute a voxel's step without committing it (thetas against the
-/// current SVB state, prior against the current image). The theta
-/// accumulation dispatches on the already-resolved `simd` backend via
-/// the SVB lane-kernel methods — bitwise identical for every backend.
-#[allow(clippy::too_many_arguments)]
+/// Compute a voxel's step from its thetas without committing it
+/// (thetas against the current SVB state, prior against the current
+/// image).
 fn compute_delta<P: Prior>(
     image: &SharedImage<'_>,
     prior: &P,
     opts: &GpuOptions,
-    vp: &VoxelPlan,
-    col: &ColumnView<'_>,
-    svb: &Svb<'_>,
-    tables: Option<&LaneTables>,
-    simd: mbir_simd::SimdBackend,
+    j: usize,
+    th: Thetas,
 ) -> f32 {
-    // The lane backend's fast path: the folded `w*a` tables built at
-    // driver setup (bitwise-equal to the walks below by construction).
-    let th = if let Some(t) = tables {
-        svb.thetas_tabled(t)
-    } else if let Some(q) = &vp.quant {
-        svb.thetas_quant(col, q, simd)
-    } else {
-        svb.thetas(col, simd)
-    };
-    let (theta1, theta2) = (th.theta1, th.theta2);
-
-    let v = image.get(vp.voxel);
-    let nb = image.neighbors8(vp.voxel);
+    let v = image.get(j);
+    let nb = image.neighbors8(j);
     let mut neigh = nb.iter().map(|(k, edge)| (image.get(k), clique_weight(edge)));
-    let mut delta = prior.step(v, theta1, theta2, &mut neigh);
+    let mut delta = prior.step(v, th.theta1, th.theta2, &mut neigh);
     drop(neigh);
     if opts.positivity && v + delta < 0.0 {
         delta = -v;
@@ -1178,25 +1178,16 @@ fn compute_delta<P: Prior>(
 }
 
 /// Commit a voxel's error update into the SVB (atomic adds on the real
-/// hardware), with the same quantized A used for the thetas. Dispatches
-/// on the already-resolved `simd` backend; the update is element-wise,
-/// so every backend performs identical ops.
+/// hardware) through the per-view walk, with the same quantized A used
+/// for the thetas. Dispatches on the already-resolved `simd` backend;
+/// the update is element-wise, so every backend performs identical ops.
 fn apply_delta_quant(
     a: &SystemMatrix,
     vp: &VoxelPlan,
     svb: &mut Svb<'_>,
     delta: f32,
-    tables: Option<&LaneTables>,
     simd: mbir_simd::SimdBackend,
 ) {
-    // Lane fast path: one branchless scatter through the precomputed
-    // flat offsets; the table's A entries skip the per-element
-    // `code * scale / levels` divide, rounding identically (folded
-    // once at setup).
-    if let Some(t) = tables {
-        svb.apply_tabled(t, delta);
-        return;
-    }
     let col = a.column(vp.voxel);
     if let Some(q) = &vp.quant {
         svb.apply_quant_delta(&col, q, delta, simd);

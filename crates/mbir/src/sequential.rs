@@ -14,12 +14,14 @@
 //! reference. Both produce the same bits (see [`FlatWalk`]).
 
 use crate::prior::Prior;
-use crate::update::{solve_and_commit, update_voxel, zero_skippable, SinogramPair, Thetas};
+use crate::update::{
+    solve_and_commit, theta2_gather, update_voxel, zero_skippable, SinogramPair, Thetas,
+};
 use ct_core::hu::rmse_hu;
 use ct_core::image::Image;
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
-use mbir_simd::{SimdBackend, ThetaAcc};
+use mbir_simd::SimdBackend;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -116,20 +118,20 @@ impl FlatWalk {
 
     /// Fill the tables of voxels `lo..lo + theta2.len()`.
     fn fill(a: &SystemMatrix, weights: &Sinogram, lo: usize, idx: &mut [u32], theta2: &mut [f32]) {
-        let (nch, w) = (weights.num_channels(), weights.data());
+        let nch = weights.num_channels();
         let base = a.entry_range(lo).start;
         for (j, t2) in (lo..).zip(theta2) {
-            let mut acc = ThetaAcc::new();
-            let mut k = a.entry_range(j).start - base;
-            for seg in a.column(j).segments() {
+            let r = a.entry_range(j);
+            let col = a.column(j);
+            let mut k = r.start - base;
+            for seg in col.segments() {
                 let q0 = seg.view * nch + seg.first_channel;
-                for (c, (&av, &wv)) in seg.values.iter().zip(&w[q0..]).enumerate() {
-                    idx[k + c] = (q0 + c) as u32;
-                    acc.push(av, 0.0, wv);
+                for (c, q) in idx[k..k + seg.values.len()].iter_mut().enumerate() {
+                    *q = (q0 + c) as u32;
                 }
                 k += seg.values.len();
             }
-            *t2 = acc.finish().1;
+            *t2 = theta2_gather(col.values_flat(), &idx[r.start - base..k], weights.data());
         }
     }
 }

@@ -83,6 +83,22 @@ pub fn compute_thetas<E: WeightedError>(col: &ColumnView<'_>, ew: &E) -> Thetas 
     Thetas { theta1, theta2 }
 }
 
+/// `theta2 = sum (w[idx[k]] * a[k]) * a[k]` of one column whose weights
+/// are addressed through a flat index — the theta2 half of
+/// [`mbir_simd::ThetaAcc::push`] in the same canonical lane `k % 8` and
+/// tree. It depends on the weights and A only, so the flat-index walks
+/// (sequential ICD's, and the SV drivers' over their plan's lane
+/// tables) compute it once per voxel and gather only `theta1` per
+/// visit.
+pub fn theta2_gather(a: &[f32], idx: &[u32], w: &[f32]) -> f32 {
+    assert_eq!(a.len(), idx.len(), "column and index lengths differ");
+    let mut t2 = [0.0f32; mbir_simd::LANES];
+    for (k, (&av, &q)) in a.iter().zip(idx).enumerate() {
+        t2[k % mbir_simd::LANES] += w[q as usize] * av * av;
+    }
+    mbir_simd::tree_reduce(t2)
+}
+
 /// Scatter `e -= A * delta` over the voxel's footprint
 /// (steps 9-11 of Algorithm 1).
 pub fn apply_delta<E: WeightedError>(col: &ColumnView<'_>, ew: &mut E, delta: f32) {

@@ -8,6 +8,7 @@ use ct_core::sysmat::{ColumnView, SystemMatrix};
 use mbir::convergence::ConvergenceTrace;
 use mbir::prior::{clique_weight, Prior};
 use mbir::sequential::{IcdConfig, IcdStats};
+use mbir::update::Thetas;
 use mbir_telemetry::{ConvergencePoint, IterationSample, KernelSpan, ProfileSink, RecordingSink};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -106,10 +107,9 @@ pub struct PsvIcd<'a, P: Prior> {
     config: PsvConfig,
     tiling: Tiling,
     plan: Arc<SvPlanSet>,
-    /// Folded `w*a` tables for the lane backend, indexed `[sv][vi]` in
-    /// plan-voxel order (empty when the resolved backend is scalar);
-    /// see [`supervoxel::LaneTables`].
-    lane_tables: Vec<Vec<supervoxel::LaneTables>>,
+    /// Per voxel `theta2` for the lane backend's tabled walk (empty
+    /// when the resolved backend is scalar); see [`supervoxel::lanes`].
+    theta2: Vec<f32>,
     image: AtomicImage,
     error: Sinogram,
     update_amount: Vec<f64>,
@@ -141,6 +141,13 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
     /// Initialize with a pre-built plan set (shared via `Arc` across
     /// drivers/runs). The plan must have been built for the same system
     /// matrix, an identical tiling, and [`psv_plan_config`].
+    ///
+    /// The plan holds no weight-dependent state, so it may serve scans
+    /// with different weights. Besides `e = y - A init`, the driver
+    /// builds only the lane backend's per-voxel `theta2` from `weights`
+    /// (4 B per voxel; skipped when the backend resolves to scalar);
+    /// the A entries and band offsets it walks come from the plan's
+    /// [`supervoxel::LaneTables`].
     pub fn with_plan(
         a: &'a SystemMatrix,
         y: &Sinogram,
@@ -161,11 +168,11 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         let n = tiling.len();
         let recording = config.profile.then(|| Arc::new(RecordingSink::new()));
         let sink = recording.clone().map(|r| r as Arc<dyn ProfileSink>);
-        // One-time fold of the iteration-invariant theta streams for
-        // the lane backend (bitwise-neutral; PSV runs f32 columns in
-        // sensor-major buffers).
-        let lane_tables = if mbir_simd::resolve(config.simd) == mbir_simd::SimdBackend::Lanes {
-            supervoxel::LaneTables::build_for_plan(a, weights, &plan, config.threads)
+        // The lane backend's one weight-dependent table: theta2 per
+        // voxel (bitwise-neutral; PSV runs f32 columns in sensor-major
+        // buffers).
+        let theta2 = if mbir_simd::resolve(config.simd) == mbir_simd::SimdBackend::Lanes {
+            supervoxel::lanes::theta2_per_voxel(&plan, weights, config.threads)
         } else {
             Vec::new()
         };
@@ -176,7 +183,7 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
             config,
             tiling,
             plan,
-            lane_tables,
+            theta2,
             image: AtomicImage::from_image(&init),
             error,
             update_amount: vec![0.0; n],
@@ -270,13 +277,15 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
             // Resolve the lane-kernel backend once per group (the env
             // fallback is not free) and hand it to every voxel visit.
             let simd = mbir_simd::resolve(self.config.simd);
-            let lane_tables = &self.lane_tables[..];
+            let theta2 = &self.theta2[..];
+            let lanes = simd == mbir_simd::SimdBackend::Lanes && !theta2.is_empty();
             let results: Vec<(Svb<'_>, SvVisit)> =
                 mbir_parallel::par_map(self.config.threads, group.len(), |i| {
                     let sv = group[i];
                     let mut svb = origs[i].clone();
                     let mut visit = SvVisit::default();
-                    let vox = plan.plan(sv).voxels();
+                    let sp = plan.plan(sv);
+                    let vox = sp.voxels();
                     // Shuffling indices into the plan's voxel list is
                     // the same Fisher-Yates permutation the pre-plan
                     // driver applied to the voxel ids themselves.
@@ -295,9 +304,10 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
                             continue;
                         }
                         let col = a.column(j);
-                        let tables = (simd == mbir_simd::SimdBackend::Lanes)
-                            .then(|| lane_tables.get(sv).and_then(|v| v.get(oi as usize)))
-                            .flatten();
+                        let tables = lanes.then(|| {
+                            let (adq, idx) = sp.lanes.voxel(oi as usize);
+                            (adq, idx, theta2[j])
+                        });
                         let delta = update_voxel_shared(
                             j, image, &col, &mut svb, prior, positivity, simd, tables,
                         );
@@ -456,13 +466,16 @@ fn update_voxel_shared<P: Prior>(
     prior: &P,
     positivity: bool,
     simd: mbir_simd::SimdBackend,
-    tables: Option<&supervoxel::LaneTables>,
+    // The voxel's `(adq, idx)` plan tables and its `theta2`: the lane
+    // backend's fast path (bitwise-equal to the walk; see
+    // `supervoxel::lanes`).
+    tables: Option<(&[f32], &[u32], f32)>,
 ) -> f32 {
     let v = image.get(j);
-    // The folded tables are the lane backend's fast path (bitwise-equal
-    // to the walk; see `supervoxel::LaneTables`).
     let th = match tables {
-        Some(t) => svb.thetas_tabled(t),
+        Some((adq, idx, theta2)) => {
+            Thetas { theta1: mbir_simd::theta_gather_lanes(adq, idx, &svb.e, &svb.w), theta2 }
+        }
         None => svb.thetas(col, simd),
     };
     let nb = Neighbors8::of_grid(image.grid(), j);
@@ -475,7 +488,7 @@ fn update_voxel_shared<P: Prior>(
     if delta != 0.0 {
         image.set(j, v + delta);
         match tables {
-            Some(t) => svb.apply_tabled(t, delta),
+            Some((adq, idx, _)) => mbir_simd::sub_scaled_gather(&mut svb.e, adq, idx, delta),
             None => svb.apply_col_delta(col, delta, simd),
         }
     }

@@ -295,68 +295,6 @@ pub fn theta_quant_flat(
     }
 }
 
-/// Thetas over a voxel column whose weight products were folded into
-/// per-element tables at driver setup: `wa[k] = w[k] * a[k]` and
-/// `waa[k] = (w[k] * a[k]) * a[k]`, both rounded once when the table
-/// was built. Scalar reference order.
-///
-/// Bitwise-equal to [`theta_flat_ref`] on the original `(a, e, w)`
-/// stream: Rust parses `w * a * e` as `(w * a) * e` and `w * a * a` as
-/// `(w * a) * a`, so the per-element expression trees are unchanged —
-/// the table merely memoizes the already-rounded inner product `w * a`
-/// (and, for quantized columns, the canonical
-/// `code as f32 * scale / levels` dequantization folded into it).
-/// Weights and the A matrix are both iteration-invariant, which is why
-/// the fold is legal as a one-time staging step.
-pub fn theta_tables_ref(wa: &[f32], waa: &[f32], e: &[f32]) -> (f32, f32) {
-    check_len(wa.len(), waa.len());
-    check_len(wa.len(), e.len());
-    let mut t1 = [0.0f32; LANES];
-    let mut t2 = [0.0f32; LANES];
-    for k in 0..wa.len() {
-        let l = k % LANES;
-        t1[l] -= wa[k] * e[k];
-        t2[l] += waa[k];
-    }
-    (tree_reduce(t1), tree_reduce(t2))
-}
-
-/// Thetas over folded tables, chunked 8-wide; bitwise-equal to
-/// [`theta_tables_ref`] (two flops per element, no divides — this is
-/// the form the ICD inner loop actually runs on the lane backend).
-pub fn theta_tables_lanes(wa: &[f32], waa: &[f32], e: &[f32]) -> (f32, f32) {
-    check_len(wa.len(), waa.len());
-    check_len(wa.len(), e.len());
-    let full = wa.len() - wa.len() % LANES;
-    let (wah, wat) = wa.split_at(full);
-    let (wh, wt) = waa.split_at(full);
-    let (eh, et) = e.split_at(full);
-    let mut t1 = [0.0f32; LANES];
-    let mut t2 = [0.0f32; LANES];
-    for ((cwa, cw), ce) in
-        wah.chunks_exact(LANES).zip(wh.chunks_exact(LANES)).zip(eh.chunks_exact(LANES))
-    {
-        for l in 0..LANES {
-            t1[l] -= cwa[l] * ce[l];
-            t2[l] += cw[l];
-        }
-    }
-    for (i, ((&wav, &wv), &ev)) in wat.iter().zip(wt).zip(et).enumerate() {
-        t1[i] -= wav * ev;
-        t2[i] += wv;
-    }
-    (tree_reduce(t1), tree_reduce(t2))
-}
-
-/// Backend-dispatched thetas over folded `wa`/`waa` tables.
-#[inline]
-pub fn theta_tables(backend: SimdBackend, wa: &[f32], waa: &[f32], e: &[f32]) -> (f32, f32) {
-    match resolve(backend) {
-        SimdBackend::Lanes => theta_tables_lanes(wa, waa, e),
-        _ => theta_tables_ref(wa, waa, e),
-    }
-}
-
 /// `theta1` over a column whose error and weight entries are addressed
 /// through a flat index: element `k` reads `e[idx[k]]` and `w[idx[k]]`.
 /// Scalar reference order — lane `k % 8` accumulates
@@ -680,46 +618,6 @@ mod tests {
                 let l = theta_quant_flat_lanes(&codes, scale, levels, &e, &w);
                 prop_assert_eq!(r.0.to_bits(), l.0.to_bits());
                 prop_assert_eq!(r.1.to_bits(), l.1.to_bits());
-            }
-
-            #[test]
-            fn theta_tables_bitwise_equal_unfolded_ref(t in triple(67)) {
-                // Folding w*a (and (w*a)*a) into tables at build time
-                // must not change a single bit vs. the canonical
-                // per-element walk over (a, e, w).
-                let (a, e, w) = unzip3(t);
-                let wa: Vec<f32> = a.iter().zip(&w).map(|(&av, &wv)| wv * av).collect();
-                let waa: Vec<f32> = a.iter().zip(&wa).map(|(&av, &wav)| wav * av).collect();
-                let r = theta_flat_ref(&a, &e, &w);
-                let tr = theta_tables_ref(&wa, &waa, &e);
-                let tl = theta_tables_lanes(&wa, &waa, &e);
-                prop_assert_eq!(r.0.to_bits(), tr.0.to_bits());
-                prop_assert_eq!(r.1.to_bits(), tr.1.to_bits());
-                prop_assert_eq!(r.0.to_bits(), tl.0.to_bits());
-                prop_assert_eq!(r.1.to_bits(), tl.1.to_bits());
-            }
-
-            #[test]
-            fn theta_tables_bitwise_equal_quant_ref(
-                codes in prop::collection::vec(0u8..=255, 0..67),
-                scale in 0.0f32..10.0,
-                seed in 0u64..1000,
-            ) {
-                // Quantized fold: the canonical dequantization
-                // `code as f32 * scale / levels` is rounded into the
-                // table exactly as the per-visit walk rounds it.
-                let levels = 255.0f32;
-                let n = codes.len();
-                let e: Vec<f32> = (0..n).map(|k| ((k as u64 * 31 + seed) % 997) as f32 * 0.013 - 6.0).collect();
-                let w: Vec<f32> = (0..n).map(|k| ((k as u64 * 17 + seed) % 991) as f32 * 0.001).collect();
-                let wa: Vec<f32> = codes.iter().zip(&w)
-                    .map(|(&c, &wv)| wv * (c as f32 * scale / levels)).collect();
-                let waa: Vec<f32> = codes.iter().zip(&wa)
-                    .map(|(&c, &wav)| wav * (c as f32 * scale / levels)).collect();
-                let r = theta_quant_flat_ref(&codes, scale, levels, &e, &w);
-                let tl = theta_tables_lanes(&wa, &waa, &e);
-                prop_assert_eq!(r.0.to_bits(), tl.0.to_bits());
-                prop_assert_eq!(r.1.to_bits(), tl.1.to_bits());
             }
 
             #[test]

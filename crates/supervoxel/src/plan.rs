@@ -6,16 +6,20 @@
 //! transformed layout all depend only on the system matrix and the
 //! tiling — never on the image — yet a naive driver re-derives them on
 //! every voxel visit of every iteration. An [`SvPlanSet`] computes all
-//! of it once at driver setup (in parallel, with the deterministic
-//! `mbir-parallel` engine) and is then shared by reference across
-//! iterations by both the GPU-ICD and PSV-ICD drivers.
+//! of it once (in parallel, with the deterministic `mbir-parallel`
+//! engine), together with the lane backend's flat A/offset tables
+//! ([`LaneTables`]), and is then shared by reference across iterations
+//! by both the GPU-ICD and PSV-ICD drivers — and across drivers for
+//! different scans, since nothing in it depends on the weights.
 //!
 //! The plan is the only source of this state: the drivers never
 //! re-chunk or re-quantize a column during iterations. Every cached
 //! quantity is byte-for-byte what a per-visit recomputation would
-//! produce (pinned by `cached_tallies_match_fresh_recomputation`).
+//! produce (pinned by `cached_tallies_match_fresh_recomputation` and
+//! the `lanes` tests).
 
 use crate::chunks::chunk_column;
+use crate::lanes::LaneTables;
 use crate::quant::QuantizedColumn;
 use crate::svb::{SvbLayout, SvbShape};
 use crate::tiling::Tiling;
@@ -88,6 +92,9 @@ pub struct SvPlan {
     /// Coalescing transaction counts of the SV's padded rows (only
     /// when chunking; the naive layout has no fixed row shape).
     pub row_tx: Option<RowTransactions>,
+    /// The lane backend's flat `(adq, idx)` tables of every voxel,
+    /// bound to this SV's band and the configured layout.
+    pub lanes: LaneTables,
 }
 
 impl SvPlan {
@@ -97,7 +104,7 @@ impl SvPlan {
         let nviews = shape.num_views();
         let svb_bytes = shape.bytes(config.layout) as f64;
         let band_width = shape.width.iter().map(|&w| w as f64).sum::<f64>() / nviews.max(1) as f64;
-        let voxels = tiling
+        let voxels: Vec<VoxelPlan> = tiling
             .voxels(sv)
             .map(|j| {
                 let col = a.column(j);
@@ -126,7 +133,8 @@ impl SvPlan {
                 a_row: affine_transactions(0, a_bytes, a_bytes, w as u32),
             }
         });
-        SvPlan { sv, shape, voxels, svb_bytes, band_width, row_tx }
+        let lanes = LaneTables::build(a, &voxels, &shape, config.layout);
+        SvPlan { sv, shape, voxels, svb_bytes, band_width, row_tx, lanes }
     }
 
     /// Per-voxel plans, in `tiling.voxels(sv)` order.
@@ -189,7 +197,7 @@ impl SvPlanSet {
                         std::mem::size_of::<VoxelPlan>() + v.quant.as_ref().map_or(0, |q| q.bytes())
                     })
                     .sum();
-                shape + vox
+                shape + vox + p.lanes.bytes()
             })
             .sum()
     }

@@ -126,6 +126,26 @@ impl SvbShape {
         }
     }
 
+    /// Copy this band of one sinogram into a buffer in the given
+    /// layout (zero in padding).
+    pub fn gather_band(&self, layout: SvbLayout, s: &Sinogram) -> Vec<f32> {
+        let len = match layout {
+            SvbLayout::SensorMajor => self.packed_len(),
+            SvbLayout::Transposed => self.padded_len(),
+        };
+        let mut band = vec![0.0f32; len];
+        for v in 0..self.num_views() {
+            let fc = self.first[v] as usize;
+            let wd = self.width[v] as usize;
+            let base = match layout {
+                SvbLayout::SensorMajor => self.row_offset[v] as usize,
+                SvbLayout::Transposed => v * self.padded_width,
+            };
+            band[base..base + wd].copy_from_slice(&s.view(v)[fc..fc + wd]);
+        }
+        band
+    }
+
     /// Bytes of one f32 buffer in the given layout (the paper's SVB
     /// size; `e` and `w` double it).
     pub fn bytes(&self, layout: SvbLayout) -> usize {
@@ -151,25 +171,7 @@ impl<'a> Svb<'a> {
     /// Copy the SV's band out of the global sinograms (the paper's
     /// "create SVBs" kernel / PSV-ICD lines 11-12).
     pub fn gather(shape: &'a SvbShape, layout: SvbLayout, e: &Sinogram, w: &Sinogram) -> Svb<'a> {
-        let len = match layout {
-            SvbLayout::SensorMajor => shape.packed_len(),
-            SvbLayout::Transposed => shape.padded_len(),
-        };
-        let mut be = vec![0.0f32; len];
-        let mut bw = vec![0.0f32; len];
-        for v in 0..shape.num_views() {
-            let fc = shape.first[v] as usize;
-            let wd = shape.width[v] as usize;
-            let base = match layout {
-                SvbLayout::SensorMajor => shape.row_offset[v] as usize,
-                SvbLayout::Transposed => v * shape.padded_width,
-            };
-            let ev = e.view(v);
-            let wv = w.view(v);
-            be[base..base + wd].copy_from_slice(&ev[fc..fc + wd]);
-            bw[base..base + wd].copy_from_slice(&wv[fc..fc + wd]);
-        }
-        Svb { shape, layout, e: be, w: bw }
+        Svb { shape, layout, e: shape.gather_band(layout, e), w: shape.gather_band(layout, w) }
     }
 
     /// The shape this buffer was gathered with.
@@ -234,39 +236,6 @@ impl<'a> Svb<'a> {
             let i0 = self.index(v, first[v] as usize);
             es.extend_from_slice(&self.e[i0..i0 + n]);
             ws.extend_from_slice(&self.w[i0..i0 + n]);
-        }
-    }
-
-    /// Theta accumulation via a voxel's folded [`crate::LaneTables`] —
-    /// the lane backend's fast path. Gathers the error band through the
-    /// precomputed flat offsets (one branchless loop, no per-view
-    /// bookkeeping — the weights and A entries are already folded into
-    /// `t`) and runs the two-flop 8-wide kernel. Bitwise-identical to
-    /// the scalar walk: the fold memoizes `(w * a)` exactly as
-    /// `w * a * e` rounds it (see `mbir_simd::theta_tables_ref`), and
-    /// the gather reads the same cells in the same flat order.
-    pub fn thetas_tabled(&self, t: &crate::LaneTables) -> Thetas {
-        STAGE.with(|s| {
-            let (es, _) = &mut *s.borrow_mut();
-            es.resize(t.idx.len(), 0.0);
-            for (o, &i) in es.iter_mut().zip(&t.idx) {
-                *o = self.e[i as usize];
-            }
-            let (theta1, theta2) = mbir_simd::theta_tables_lanes(&t.wa, &t.waa, es);
-            Thetas { theta1, theta2 }
-        })
-    }
-
-    /// Write-back via the table: `e[idx[k]] -= adq[k] * delta`, with
-    /// `adq[k]` rounded at fold time exactly as the per-visit
-    /// dequantization rounds — bitwise-equal to
-    /// [`Svb::apply_quant_delta`] / [`Svb::apply_col_delta`], minus
-    /// their per-element divides and per-view bookkeeping. A column's
-    /// cells are distinct, so the scatter order is immaterial; the
-    /// flat order used here is the scalar walk's order anyway.
-    pub fn apply_tabled(&mut self, t: &crate::LaneTables, delta: f32) {
-        for (&i, &av) in t.idx.iter().zip(&t.adq) {
-            self.e[i as usize] -= av * delta;
         }
     }
 

@@ -1,64 +1,148 @@
 //! The SV plan is built once at driver setup and is the only source of
 //! iteration-invariant column state (band shapes, chunk tallies,
-//! quantized columns). Sharing one prebuilt plan across drivers via
-//! `with_plan` is the intended way to amortize that build, so a driver
+//! quantized columns, and the lane backend's flat A/offset tables).
+//! Sharing one prebuilt plan across drivers via `with_plan` is the
+//! intended way to amortize that build — `serve` builds every lease's
+//! driver from one plan, for scans with different weights — so a driver
 //! handed a shared plan has to be bitwise indistinguishable from one
 //! that built its own: same images, error sinograms, iteration reports
-//! and modeled seconds. What the plan caches is pinned against a fresh
-//! recomputation by the `supervoxel::plan` unit tests.
+//! and modeled seconds, whatever scans the plan served before. What the
+//! plan caches is pinned against a fresh recomputation by the
+//! `supervoxel::plan` and `supervoxel::lanes` unit tests.
 
 use ct_core::fbp;
 use ct_core::geometry::Geometry;
+use ct_core::image::Image;
 use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel, Scan};
 use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{GpuIcd, GpuIterationReport, GpuOptions};
+use gpu_icd::{AMatrixMode, GpuIcd, GpuIterationReport, GpuOptions, Layout};
 use mbir::prior::QggmrfPrior;
 use psv_icd::{PsvConfig, PsvIcd, PsvIterationReport};
 use std::sync::Arc;
 
+const ITERS: usize = 4;
+
 struct Setup {
     a: SystemMatrix,
-    scan: Scan,
     prior: QggmrfPrior,
-    init: ct_core::image::Image,
+    /// Two scans of different phantoms with different noise draws, so
+    /// their weight sinograms differ.
+    scans: [(Scan, Image); 2],
 }
 
 fn setup() -> Setup {
     let geom = Geometry::tiny_scale();
     let a = SystemMatrix::compute(&geom);
-    let truth = Phantom::baggage(5).render(geom.grid, 2);
-    let s = scan(&a, &truth, Some(NoiseModel { i0: 1.0e5 }), 21);
-    let prior = QggmrfPrior::standard(0.002);
-    let init = fbp::reconstruct(&geom, &s.y);
-    Setup { a, scan: s, prior, init }
+    let scans = [(5, 21), (2, 77)].map(|(phantom, noise_seed)| {
+        let truth = Phantom::baggage(phantom).render(geom.grid, 2);
+        let s = scan(&a, &truth, Some(NoiseModel { i0: 1.0e5 }), noise_seed);
+        let init = fbp::reconstruct(&geom, &s.y);
+        (s, init)
+    });
+    assert_ne!(scans[0].0.weights.data(), scans[1].0.weights.data());
+    Setup { a, prior: QggmrfPrior::standard(0.002), scans }
+}
+
+/// Everything a run leaves behind, with floats as bits.
+#[derive(Debug, PartialEq)]
+struct Outcome<R> {
+    image: Vec<u32>,
+    error: Vec<u32>,
+    reports: Vec<R>,
+    modeled_seconds: u64,
+}
+
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+fn gpu_outcome(gpu: &mut GpuIcd<'_, QggmrfPrior>) -> Outcome<GpuIterationReport> {
+    let reports = (0..ITERS).map(|_| gpu.iteration()).collect();
+    Outcome {
+        image: bits(gpu.image().data()),
+        error: bits(gpu.error().data()),
+        reports,
+        modeled_seconds: gpu.modeled_seconds().to_bits(),
+    }
+}
+
+fn psv_outcome(psv: &mut PsvIcd<'_, QggmrfPrior>) -> Outcome<PsvIterationReport> {
+    let reports = (0..ITERS).map(|_| psv.iteration()).collect();
+    Outcome {
+        image: bits(psv.image().data()),
+        error: bits(psv.error().data()),
+        reports,
+        modeled_seconds: psv.modeled_seconds().to_bits(),
+    }
 }
 
 #[test]
 fn prebuilt_plan_matches_internally_built() {
     let s = setup();
-    let (y, w) = (&s.scan.y, &s.scan.weights);
-
-    let opts =
+    let base =
         GpuOptions { sv_side: 6, threadblocks_per_sv: 4, svs_per_batch: 4, ..Default::default() };
-    let mut gpu_new = GpuIcd::new(&s.a, y, w, &s.prior, s.init.clone(), opts);
-    let rep_new: Vec<GpuIterationReport> = (0..4).map(|_| gpu_new.iteration()).collect();
-    let plan = Arc::clone(gpu_new.plan());
-    let mut gpu_shared = GpuIcd::with_plan(&s.a, y, w, &s.prior, s.init.clone(), opts, plan);
-    let rep_shared: Vec<GpuIterationReport> = (0..4).map(|_| gpu_shared.iteration()).collect();
-    assert_eq!(gpu_new.image(), gpu_shared.image(), "gpu image");
-    assert_eq!(gpu_new.error().data(), gpu_shared.error().data(), "gpu error sinogram");
-    assert_eq!(rep_new, rep_shared, "gpu iteration reports");
-    assert_eq!(gpu_new.modeled_seconds(), gpu_shared.modeled_seconds(), "gpu modeled seconds");
+    let configs = [
+        ("chunked+u8", base),
+        ("chunked+f32", GpuOptions { amatrix: AMatrixMode::GlobalF32, ..base }),
+        ("naive", GpuOptions { layout: Layout::Naive, ..base }),
+    ];
+    for (label, opts) in configs {
+        // Reference: every scan on a driver that builds its own plan.
+        let mut plan = None;
+        let fresh: Vec<_> = s
+            .scans
+            .iter()
+            .map(|(sc, init)| {
+                let mut gpu = GpuIcd::new(&s.a, &sc.y, &sc.weights, &s.prior, init.clone(), opts);
+                plan.get_or_insert_with(|| Arc::clone(gpu.plan()));
+                gpu_outcome(&mut gpu)
+            })
+            .collect();
+        let plan = plan.expect("two scans");
+        // Both scans through the one shared plan, in both orders.
+        for order in [[0, 1], [1, 0]] {
+            for i in order {
+                let (sc, init) = &s.scans[i];
+                let mut gpu = GpuIcd::with_plan(
+                    &s.a,
+                    &sc.y,
+                    &sc.weights,
+                    &s.prior,
+                    init.clone(),
+                    opts,
+                    Arc::clone(&plan),
+                );
+                assert_eq!(gpu_outcome(&mut gpu), fresh[i], "gpu {label}: scan {i} of {order:?}");
+            }
+        }
+    }
 
     let config = PsvConfig { sv_side: 6, ..Default::default() };
-    let mut psv_new = PsvIcd::new(&s.a, y, w, &s.prior, s.init.clone(), config);
-    let rep_new: Vec<PsvIterationReport> = (0..4).map(|_| psv_new.iteration()).collect();
-    let plan = Arc::clone(psv_new.plan());
-    let mut psv_shared = PsvIcd::with_plan(&s.a, y, w, &s.prior, s.init.clone(), config, plan);
-    let rep_shared: Vec<PsvIterationReport> = (0..4).map(|_| psv_shared.iteration()).collect();
-    assert_eq!(psv_new.image(), psv_shared.image(), "psv image");
-    assert_eq!(psv_new.error().data(), psv_shared.error().data(), "psv error sinogram");
-    assert_eq!(rep_new, rep_shared, "psv iteration reports");
-    assert_eq!(psv_new.modeled_seconds(), psv_shared.modeled_seconds(), "psv modeled seconds");
+    let mut plan = None;
+    let fresh: Vec<_> = s
+        .scans
+        .iter()
+        .map(|(sc, init)| {
+            let mut psv = PsvIcd::new(&s.a, &sc.y, &sc.weights, &s.prior, init.clone(), config);
+            plan.get_or_insert_with(|| Arc::clone(psv.plan()));
+            psv_outcome(&mut psv)
+        })
+        .collect();
+    let plan = plan.expect("two scans");
+    for order in [[0, 1], [1, 0]] {
+        for i in order {
+            let (sc, init) = &s.scans[i];
+            let mut psv = PsvIcd::with_plan(
+                &s.a,
+                &sc.y,
+                &sc.weights,
+                &s.prior,
+                init.clone(),
+                config,
+                Arc::clone(&plan),
+            );
+            assert_eq!(psv_outcome(&mut psv), fresh[i], "psv: scan {i} of {order:?}");
+        }
+    }
 }
